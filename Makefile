@@ -1,7 +1,7 @@
 # Convenience targets; `make ci` is what a pipeline should run.
 
 .PHONY: all build test fmt lint ci clean profile telemetry bench-parallel \
-	bench-host-overhead bench-serve bench-analysis-mem
+	bench-analysis-mem perfbench
 
 # Workload for `make profile`, e.g. `make profile WORKLOAD=parboil/sgemm`.
 WORKLOAD ?= rodinia/bfs
@@ -182,23 +182,21 @@ ci: fmt
 bench-parallel: build
 	dune exec bench/main.exe -- parallel --jobs 4
 
-# Span-tracing overhead: traced vs untraced legs of one task mix
-# (<5% budget, bit-identical results); writes BENCH_host_overhead.json.
-bench-host-overhead: build
-	dune exec bench/main.exe -- host-overhead --jobs 4
-
-# Compile-cache cold vs hit latency percentiles plus a daemon
-# round-trip (two identical served jobs, second rides the cache);
-# writes BENCH_serve.json. Fails unless the hit path is strictly
-# faster and all outputs are bit-identical.
-bench-serve: build
-	dune exec bench/main.exe -- serve --jobs 2
-
 # Static memory predictions vs the machine: per-site bank-conflict
 # degree and coalesced line counts, audited in-simulator; writes
 # BENCH_analysis_mem.json. Fails on any exact-site mismatch.
 bench-analysis-mem: build
 	dune exec bench/main.exe -- analysis-mem
+
+# The repository benchmark (perfbench/README.md): every workload of
+# BENCHMARK.json, untraced, for its run_seconds. Each run's last line
+# is its JSON result: `correct`, `attempted`, `failed` and `metrics`.
+perfbench:
+	secs=$$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in plain-sim profiled-sim served-campaign; do \
+	  sh perfbench/run.sh --workload $$w --seed 1 --seconds $$secs \
+	    --trace 0 || exit 1; \
+	done
 
 profile: build
 	dune exec bin/sassi_run.exe -- run $(WORKLOAD) --profile

@@ -16,10 +16,9 @@
      analysis - static-analyzer wall time per kernel across the suite
      parallel - domain-pool campaign runner: seq-vs-par wall clock and
                 bit-identity check, emits BENCH_parallel.json
-     host-overhead - span-tracing cost: traced vs untraced legs of one
-                task mix, bit-identity check, emits
-                BENCH_host_overhead.json
-     bechamel - wall-clock microbenchmarks, one Test.make per table
+
+   Speed of the simulator itself is measured by perfbench/ (see
+   BENCHMARK.json), not here.
 
    Flags: --quick (reduced injection counts), --jobs N (domain-pool
    width for the matrix experiments; 1 = sequential), --seed S,
@@ -541,43 +540,7 @@ let scaling (_rc : runcfg) =
         | _ -> Printf.printf "\n%!"))
     scaling_rows
 
-(* --- Activity tracing overhead --------------------------------------------- *)
-
-let tracing_rows =
-  [ ("parboil/spmv", "small"); ("parboil/sgemm", "small");
-    ("rodinia/bfs", "default") ]
-
-let tracing (_rc : runcfg) =
-  section
-    "Extension: activity-tracing overhead (CUPTI-style Activity API) - \
-     wall-clock with the collector installed vs. plain, plus record \
-     volume and drop accounting";
-  Printf.printf "%-24s %-8s | %7s %7s %6s | %9s %9s %9s\n" "benchmark"
-    "variant" "t0(s)" "t1(s)" "ratio" "records" "dropped" "stall-cyc";
-  List.iter
-    (fun (name, variant) ->
-       let w = wl name in
-       let _, t_plain = timed (fun () -> run_plain w variant) in
-       let device = fresh () in
-       Cupti.Activity.enable_all ~capacity:(1 lsl 18) device;
-       let _, t_traced =
-         timed (fun () -> w.Workloads.Workload.run device ~variant)
-       in
-       let records = Cupti.Activity.records device in
-       let dropped = Cupti.Activity.dropped device in
-       let tl = Trace.Timeline.build records in
-       let stall_cycles =
-         List.fold_left (fun a (_, _, c) -> a + c) 0
-           (Trace.Timeline.stall_breakdown tl)
-       in
-       Cupti.Activity.disable device;
-       Printf.printf "%-24s %-8s | %7.2f %7.2f %5.1fx | %9d %9d %9d\n%!"
-         name variant t_plain t_traced
-         (t_traced /. max 1e-6 t_plain)
-         (List.length records) dropped stall_cycles)
-    tracing_rows
-
-(* --- PC-sampling profiling: overhead and accuracy --------------------------- *)
+(* --- PC-sampling profiling: hotspot accuracy -------------------------------- *)
 
 let profiling_rows =
   [ ("parboil/sgemm", "small"); ("parboil/spmv", "small");
@@ -609,16 +572,15 @@ let top5_overlap ~exact sampled =
 
 let profiling (_rc : runcfg) =
   section
-    "Extension: PC-sampling profiler (nvprof-style) - wall-clock overhead \
-     vs. plain, and sampled hotspot ranking validated against exact \
-     per-PC issue counts from the Activity API";
-  Printf.printf "%-24s %-8s | %7s %7s %6s | %9s %8s | %5s\n" "benchmark"
-    "variant" "t0(s)" "t1(s)" "ratio" "samples" "hits" "top5";
+    "Extension: PC-sampling profiler (nvprof-style) - sampled hotspot \
+     ranking validated against exact per-PC issue counts from the Activity \
+     API";
+  Printf.printf "%-24s %-8s | %9s %8s | %5s\n" "benchmark" "variant"
+    "samples" "hits" "top5";
   let summaries = ref [] in
   List.iter
     (fun (name, variant) ->
        let w = wl name in
-       let _, t_plain = timed (fun () -> run_plain w variant) in
        (* Ground truth: exact per-PC issue counts, streamed out of the
           activity ring through the buffer-completed callback so
           capacity never truncates them. *)
@@ -643,26 +605,20 @@ let profiling (_rc : runcfg) =
        (* Profiled run. *)
        let device = fresh () in
        let s = Cupti.Pc_sampling.enable device in
-       let _, t_prof =
-         timed (fun () -> w.Workloads.Workload.run device ~variant)
-       in
+       let _ = w.Workloads.Workload.run device ~variant in
        Cupti.Pc_sampling.disable device;
        let sampled = Hashtbl.create 512 in
        Prof.Pc_sampling.fold_pcs s
          (fun () _kernel pc ~total ~by_reason:_ -> bump sampled pc total)
          ();
        let overlap = top5_overlap ~exact sampled in
-       Printf.printf "%-24s %-8s | %7.2f %7.2f %5.1fx | %9d %8d | %d/5\n%!"
-         name variant t_plain t_prof
-         (t_prof /. max 1e-6 t_plain)
+       Printf.printf "%-24s %-8s | %9d %8d | %d/5\n%!" name variant
          (Prof.Pc_sampling.total_samples s)
          (Prof.Pc_sampling.hits s) overlap;
        summaries :=
          Trace.Json.Obj
            [ ("benchmark", Trace.Json.Str name);
              ("variant", Trace.Json.Str variant);
-             ("t_plain_s", Trace.Json.Float t_plain);
-             ("t_profiled_s", Trace.Json.Float t_prof);
              ("samples", Trace.Json.Int (Prof.Pc_sampling.total_samples s));
              ("hits", Trace.Json.Int (Prof.Pc_sampling.hits s));
              ("top5_overlap", Trace.Json.Int overlap) ]
@@ -672,7 +628,7 @@ let profiling (_rc : runcfg) =
   Printf.printf "\nprofiling-json: %s\n%!"
     (Trace.Json.to_string (Trace.Json.List (List.rev !summaries)))
 
-(* --- Telemetry: overhead, invariance, and memory-latency histograms ---------- *)
+(* --- Telemetry: invariance and memory-latency histograms --------------------- *)
 
 let telemetry_rows =
   [ ("parboil/sgemm", "small"); ("parboil/spmv", "small");
@@ -682,73 +638,37 @@ let telemetry_rows =
    sgemm streams unit-stride tiles, spmv chases sparse columns. *)
 let telemetry_hist_rows = [ ("parboil/sgemm", "small"); ("parboil/spmv", "small") ]
 
-let write_bench_manifest name variant (r : Workloads.Workload.result)
-    (t : Cupti.Telemetry.t) wall =
-  let dir = "bench-manifests" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path =
-    Filename.concat dir
-      (String.map (fun c -> if c = '/' then '-' else c) name
-       ^ "-" ^ variant ^ ".json")
-  in
-  let m =
-    { Telemetry.Manifest.m_workload = name;
-      m_variant = variant;
-      m_instrument = "none";
-      m_seed = 0;
-      m_argv = Array.to_list Sys.argv;
-      m_wall_time_s = wall;
-      m_build = Telemetry.Build_info.collect ();
-      m_config = Gpu.Config.to_assoc cfg;
-      m_counters =
-        ("launches", r.Workloads.Workload.launches)
-        :: Gpu.Stats.to_assoc r.Workloads.Workload.stats
-        @ Cupti.Telemetry.counters t;
-      m_metrics = [];
-      m_histograms = Cupti.Telemetry.histograms t }
-  in
-  Telemetry.Manifest.write path m;
-  path
-
 let telemetry (_rc : runcfg) =
   section
-    "Extension: telemetry overhead and invariance - wall-clock with the \
-     metrics sink installed vs. plain, Stats equality (the sink must only \
-     observe), and run manifests for `sassi_run compare`";
-  Printf.printf "%-24s %-8s | %7s %7s %7s | %9s %6s | %s\n" "benchmark"
-    "variant" "t0(s)" "t1(s)" "ratio" "series" "stats" "manifest";
-  List.iter
-    (fun (name, variant) ->
-       let w = wl name in
-       let base, t_plain = timed (fun () -> run_plain w variant) in
-       let device = fresh () in
-       let t = Cupti.Telemetry.enable device in
-       let r, t_tel =
-         timed (fun () -> w.Workloads.Workload.run device ~variant)
-       in
-       Cupti.Telemetry.disable device;
-       let identical =
-         Gpu.Stats.to_assoc base.Workloads.Workload.stats
-         = Gpu.Stats.to_assoc r.Workloads.Workload.stats
-       in
-       let manifest = write_bench_manifest name variant r t t_tel in
-       Printf.printf "%-24s %-8s | %7.2f %7.2f %6.2fx | %9d %6s | %s\n%!"
-         name variant t_plain t_tel
-         (t_tel /. max 1e-6 t_plain)
-         (Telemetry.Series.length (Cupti.Telemetry.series t))
-         (if identical then "same" else "DRIFT")
-         manifest)
-    telemetry_rows;
+    "Extension: telemetry invariance - Stats equality with the metrics \
+     sink installed vs. plain (the sink must only observe)";
+  Printf.printf "%-24s %-8s | %9s %6s\n" "benchmark" "variant" "series"
+    "stats";
+  let sinks =
+    List.map
+      (fun (name, variant) ->
+         let w = wl name in
+         let base = run_plain w variant in
+         let device = fresh () in
+         let t = Cupti.Telemetry.enable device in
+         let r = w.Workloads.Workload.run device ~variant in
+         Cupti.Telemetry.disable device;
+         let identical =
+           Gpu.Stats.to_assoc base.Workloads.Workload.stats
+           = Gpu.Stats.to_assoc r.Workloads.Workload.stats
+         in
+         Printf.printf "%-24s %-8s | %9d %6s\n%!" name variant
+           (Telemetry.Series.length (Cupti.Telemetry.series t))
+           (if identical then "same" else "DRIFT");
+         ((name, variant), t))
+      telemetry_rows
+  in
   Printf.printf
     "\nMemory-request latency histograms (log2 buckets): coalesced \
      (sgemm) vs divergent (spmv) access patterns\n";
   List.iter
     (fun (name, variant) ->
-       let w = wl name in
-       let device = fresh () in
-       let t = Cupti.Telemetry.enable device in
-       let _ = w.Workloads.Workload.run device ~variant in
-       Cupti.Telemetry.disable device;
+       let t = List.assoc (name, variant) sinks in
        List.iter
          (fun (hname, h) ->
             match hname with
@@ -766,66 +686,6 @@ let telemetry (_rc : runcfg) =
             (Telemetry.Registry.specs (Cupti.Telemetry.registry t)));
        Printf.printf "%!")
     telemetry_hist_rows
-
-(* --- Bechamel micro-suite ---------------------------------------------------- *)
-
-let bechamel (_rc : runcfg) =
-  section
-    "Bechamel wall-clock microbenchmarks (one Test.make per experiment; \
-     small workloads)";
-  let open Bechamel in
-  let w = wl "parboil/spmv" in
-  let make_test name runner =
-    Test.make ~name (Staged.stage (fun () -> ignore (runner ())))
-  in
-  let tests =
-    [ make_test "table1-branch-instr" (fun () ->
-          branch_summary "parboil" "spmv" "small");
-      make_test "fig5-per-branch" (fun () ->
-          branch_summary "parboil" "bfs" "UT");
-      make_test "fig7-memdiv-instr" (fun () ->
-          memdiv_profile "parboil/spmv" "small");
-      make_test "fig8-minife-ell" (fun () ->
-          memdiv_profile "minife/miniFE" "ELL");
-      make_test "table2-value-instr" (fun () ->
-          run_instrumented
-            (fun device ->
-               Handlers.Value_profile.pairs
-                 (Handlers.Value_profile.create device))
-            w "small");
-      make_test "fig10-one-injection" (fun () ->
-          Workloads.Campaign.run ~cfg ~injections:1 w ~variant:"small");
-      make_test "table3-baseline" (fun () -> run_plain w "small") ]
-  in
-  let grouped = Test.make_grouped ~name:"sassi" ~fmt:"%s/%s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg_b =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg_b instances grouped in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _measure by_test ->
-       let rows =
-         Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) by_test []
-         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-       in
-       List.iter
-         (fun (name, ols) ->
-            match Analyze.OLS.estimates ols with
-            | Some (est :: _) ->
-              Printf.printf "  %-32s %12.3f ms/run\n" name (est /. 1e6)
-            | Some [] | None ->
-              Printf.printf "  %-32s (no estimate)\n" name)
-         rows)
-    merged;
-  Printf.printf "%!"
 
 (* --- analysis: static-analyzer wall time per kernel --------------------- *)
 
@@ -1041,102 +901,6 @@ let parallel rc =
   if not (List.for_all (fun (_, _, _, _, i) -> i) parts && device_identical)
   then begin
     Printf.eprintf "parallel: determinism violation (see MISMATCH rows)\n";
-    exit 1
-  end
-
-(* --- host-overhead: span-tracing cost vs an untraced run ------------------- *)
-
-(* One fixed task mix, run three times on the --jobs pool: a warm-up
-   leg (so neither measured leg pays first-run costs), an untraced
-   leg, and a traced leg with Obs.Tracer live the whole time. The
-   traced results must compare structurally equal to the untraced ones
-   (spans never touch simulation state), the wall-clock delta is the
-   span overhead (<5% budget), and the manifest records only the
-   deterministic side — task and per-category span counts — so every
-   run of this experiment writes a byte-identical artifact for
-   `sassi_run compare`. *)
-let host_overhead_rows =
-  [ ("parboil", "sgemm", "small"); ("parboil", "bfs", "NY");
-    ("parboil", "tpacf", "small"); ("rodinia", "gaussian", "default");
-    ("rodinia", "nn", "default"); ("rodinia", "hotspot", "default") ]
-
-let host_overhead rc =
-  section
-    (Printf.sprintf
-       "host-overhead: span tracing cost, traced vs untraced (--jobs %d)"
-       rc.jobs);
-  let tasks =
-    Array.of_list host_overhead_rows
-    |> Array.map (fun (suite, bench, variant) ->
-        fun () ->
-          let s, _, r = branch_summary suite bench variant in
-          (s, Gpu.Stats.to_assoc r.Workloads.Workload.stats))
-  in
-  let run_leg () =
-    timed (fun () ->
-        Par.Campaign.run_tasks rc.pool tasks ~on_result:(fun _ _ -> ()))
-  in
-  ignore (run_leg ());
-  (* Alternate untraced/traced legs and keep the best wall time per
-     mode: single legs of a few seconds are dominated by scheduler
-     jitter on small hosts, and min-of-N is the floor the tracer's
-     real cost shows up against. Results must match across ALL legs. *)
-  let legs = if rc.quick then 2 else 3 in
-  let rs_off = ref None and rs_on = ref None and spans = ref [] in
-  let t_off = ref infinity and t_on = ref infinity in
-  let consistent = ref true in
-  let record slot rs = match !slot with
-    | None -> slot := Some rs
-    | Some prev -> if prev <> rs then consistent := false
-  in
-  for _ = 1 to legs do
-    let rs, t = run_leg () in
-    record rs_off rs;
-    t_off := min !t_off t;
-    Obs.Tracer.enable ();
-    let rs, t = run_leg () in
-    let drained = Obs.Tracer.drain () in
-    if !spans = [] then spans := drained;
-    record rs_on rs;
-    t_on := min !t_on t
-  done;
-  let t_off = !t_off and t_on = !t_on and spans = !spans in
-  let identical = !consistent && !rs_off = !rs_on in
-  let overhead_pct = 100.0 *. (t_on -. t_off) /. max 1e-9 t_off in
-  Printf.printf
-    "%2d tasks | untraced %6.2fs  traced %6.2fs  overhead %+5.2f%%  \
-     (budget <5%%) | %d span(s)  %s\n%!"
-    (Array.length tasks) t_off t_on overhead_pct (List.length spans)
-    (if identical then "bit-identical" else "MISMATCH");
-  (* Per-category span counts are deterministic (fixed task mix, fixed
-     compile pipeline and launch sequence); durations are not and stay
-     out of the manifest. *)
-  let by_cat =
-    Obs.Export.summary spans
-    |> List.map (fun (cat, n, _dur) -> ("spans_" ^ cat, n))
-    |> List.sort compare
-  in
-  write_experiment_manifest ~experiment:"host-overhead" ~rc
-    ~counters:
-      ((("tasks", Array.length tasks)
-        :: ("spans_total", List.length spans)
-        :: by_cat))
-    ~histograms:[];
-  let json =
-    Trace.Json.Obj
-      [ ("schema", Trace.Json.Str "sassi-bench-host-overhead/1");
-        ("jobs", Trace.Json.Int rc.jobs);
-        ("tasks", Trace.Json.Int (Array.length tasks));
-        ("t_untraced_s", Trace.Json.Float t_off);
-        ("t_traced_s", Trace.Json.Float t_on);
-        ("overhead_pct", Trace.Json.Float overhead_pct);
-        ("spans_total", Trace.Json.Int (List.length spans));
-        ("bit_identical", Trace.Json.Bool identical) ]
-  in
-  Trace.Json.write_file "BENCH_host_overhead.json" json;
-  Printf.printf "\nwrote BENCH_host_overhead.json\n%!";
-  if not identical then begin
-    Printf.eprintf "host-overhead: traced results diverge from untraced\n";
     exit 1
   end
 
@@ -1444,213 +1208,6 @@ let analysis_mem rc =
     exit 1
   end
 
-(* --- Serve: daemon round-trip + compile-cache cold/warm ------------------------ *)
-
-(* The serving story, measured: (a) the content-addressed compile
-   cache, cold start (full typecheck/lower/optimize/regalloc/emit)
-   against a content hit (digest + verify only), per-compile latency
-   percentiles over many reps with the emitted SASS compared
-   bit-for-bit; (b) one in-process daemon serving the same campaign
-   twice over real sockets, where the second job rides the warm cache
-   and both served manifests must be byte-identical. *)
-
-let serve_kernels =
-  let open Kernel.Dsl in
-  [ kernel "bench_vadd" ~params:[ ptr "a"; ptr "b"; ptr "out"; int "n" ]
-      (fun p ->
-         [ let_ "gid" (global_tid_x ());
-           exit_if (v "gid" >=! p 3);
-           let_ "off" (v "gid" <<! int_ 2);
-           st_global (p 2 +! v "off") (ldg (p 0 +! v "off") +! ldg (p 1 +! v "off")) ]);
-    kernel "bench_scale" ~params:[ ptr "a"; ptr "out"; int "n" ]
-      (fun p ->
-         [ let_ "gid" (global_tid_x ());
-           exit_if (v "gid" >=! p 2);
-           let_ "off" (v "gid" <<! int_ 2);
-           let_ "x" (ldg (p 0 +! v "off"));
-           st_global (p 1 +! v "off")
-             ((v "x" *! int_ 3) +! (v "x" <<! int_ 1) +! int_ 7) ]);
-    kernel "bench_mask" ~params:[ ptr "out"; int "n" ]
-      (fun p ->
-         [ let_ "gid" (global_tid_x ());
-           exit_if (v "gid" >=! p 1);
-           st_global (p 0 +! (v "gid" <<! int_ 2))
-             ((v "gid" &! int_ 255) ^! (v "gid" >>! int_ 3)) ]) ]
-
-let http_request ?(body = "") ~meth ~path port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let oc = Unix.out_channel_of_descr fd in
-  let ic = Unix.in_channel_of_descr fd in
-  Printf.fprintf oc
-    "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-    meth path (String.length body) body;
-  flush oc;
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  (try
-     let rec go () =
-       let n = input ic chunk 0 4096 in
-       if n > 0 then begin Buffer.add_subbytes buf chunk 0 n; go () end
-     in
-     go ()
-   with End_of_file -> ());
-  (try close_in ic with _ -> ());
-  let raw = Buffer.contents buf in
-  let i =
-    let rec find j =
-      if j + 3 >= String.length raw then String.length raw
-      else if String.sub raw j 4 = "\r\n\r\n" then j + 4
-      else find (j + 1)
-    in
-    find 0
-  in
-  String.sub raw i (String.length raw - i)
-
-let serve rc =
-  section
-    (Printf.sprintf
-       "serve: compile-cache cold/warm + daemon round-trip (--jobs %d)" rc.jobs);
-  (* Leg A: per-compile latency, cold vs content-hit. *)
-  let reps = if rc.quick then 15 else 40 in
-  let cold_us = Telemetry.Hist.create () in
-  let warm_us = Telemetry.Hist.create () in
-  let identical = ref true in
-  Kernel.Cache.enable ();
-  List.iter
-    (fun k ->
-       for _ = 1 to reps do
-         Kernel.Cache.clear ();
-         let cold, t_cold = timed (fun () -> Kernel.Compile.compile k) in
-         let warm, t_warm = timed (fun () -> Kernel.Compile.compile k) in
-         Telemetry.Hist.observe cold_us (int_of_float (t_cold *. 1e6));
-         Telemetry.Hist.observe warm_us (int_of_float (t_warm *. 1e6));
-         if cold.Sass.Program.instrs <> warm.Sass.Program.instrs then
-           identical := false
-       done)
-    serve_kernels;
-  let cs = Telemetry.Hist.summarize cold_us in
-  let ws = Telemetry.Hist.summarize warm_us in
-  let cache_stats = Kernel.Cache.stats () in
-  Kernel.Cache.disable ();
-  Printf.printf
-    "compile   | cold p50 %8.1fus  p99 %8.1fus | hit p50 %8.1fus  p99 %8.1fus | x%.1f at p50  %s\n%!"
-    cs.Telemetry.Hist.s_p50 cs.Telemetry.Hist.s_p99 ws.Telemetry.Hist.s_p50
-    ws.Telemetry.Hist.s_p99
-    (cs.Telemetry.Hist.s_p50 /. Float.max 1.0 ws.Telemetry.Hist.s_p50)
-    (if !identical then "bit-identical" else "MISMATCH");
-  (* Leg B: the same campaign served twice by one daemon; job 2 rides
-     the cache job 1 just filled. *)
-  let campaign =
-    Par.Campaign.make ~name:"bench-serve" ~seed:rc.seed
-      [ Par.Campaign.job ~variant:"small" ~kind:Par.Campaign.Run "parboil/spmv";
-        Par.Campaign.job ~variant:"small" ~kind:Par.Campaign.Inject
-          ~injections:2 "parboil/spmv" ]
-  in
-  let d =
-    Serve.Daemon.create
-      { Serve.Daemon.default_config with
-        Serve.Daemon.cfg_port = 0;
-        cfg_pool_jobs = rc.jobs;
-        cfg_access_log = None }
-  in
-  let th = Serve.Daemon.start d in
-  let port = Serve.Daemon.port d in
-  let body = Trace.Json.to_string (Par.Campaign.to_json campaign) in
-  let wall id =
-    let rec poll n =
-      if n = 0 then failwith ("bench serve: " ^ id ^ " never finished");
-      let s = http_request ~meth:"GET" ~path:("/jobs/" ^ id) port in
-      match Trace.Json.of_string s with
-      | Ok doc when Trace.Json.member "state" doc = Some (Trace.Json.Str "done")
-        ->
-        (match Trace.Json.member "wall_time_s" doc with
-         | Some (Trace.Json.Float w) -> w
-         | _ -> failwith "bench serve: done job without wall time")
-      | Ok doc
-        when (match Trace.Json.member "state" doc with
-              | Some (Trace.Json.Str "failed") -> true
-              | _ -> false) ->
-        failwith ("bench serve: job failed: " ^ s)
-      | _ ->
-        Thread.delay 0.05;
-        poll (n - 1)
-    in
-    poll 2400
-  in
-  ignore (http_request ~meth:"POST" ~path:"/jobs" ~body port);
-  let cold_wall = wall "job-1" in
-  ignore (http_request ~meth:"POST" ~path:"/jobs" ~body port);
-  let warm_wall = wall "job-2" in
-  let m1 = http_request ~meth:"GET" ~path:"/jobs/job-1/manifest" port in
-  let m2 = http_request ~meth:"GET" ~path:"/jobs/job-2/manifest" port in
-  let served_identical = m1 = m2 && String.length m1 > 0 in
-  let metrics = http_request ~meth:"GET" ~path:"/metrics" port in
-  let daemon_hits =
-    String.split_on_char '\n' metrics
-    |> List.find_map (fun l ->
-        let p = "sassi_cache_hits_total " in
-        if String.length l > String.length p
-           && String.sub l 0 (String.length p) = p
-        then
-          int_of_string_opt
-            (String.sub l (String.length p)
-               (String.length l - String.length p))
-        else None)
-    |> Option.value ~default:0
-  in
-  Serve.Daemon.shutdown d;
-  Thread.join th;
-  Printf.printf
-    "served    | cold job %6.2fs  warm job %6.2fs | %d cache hit(s) | manifests %s\n%!"
-    cold_wall warm_wall daemon_hits
-    (if served_identical then "byte-identical" else "MISMATCH");
-  write_experiment_manifest ~experiment:"serve" ~rc
-    ~counters:
-      [ ("kernels", List.length serve_kernels); ("reps", reps);
-        ("compiles", Telemetry.Hist.count cold_us);
-        ("cache_hits", cache_stats.Kernel.Cache.c_hits);
-        ("cache_misses", cache_stats.Kernel.Cache.c_misses) ]
-    ~histograms:[ ("compile_cold_us", cs); ("compile_hit_us", ws) ];
-  let q (s : Telemetry.Hist.summary) =
-    Trace.Json.Obj
-      [ ("p50", Trace.Json.Float s.Telemetry.Hist.s_p50);
-        ("p90", Trace.Json.Float s.Telemetry.Hist.s_p90);
-        ("p99", Trace.Json.Float s.Telemetry.Hist.s_p99);
-        ("mean", Trace.Json.Float s.Telemetry.Hist.s_mean) ]
-  in
-  let json =
-    Trace.Json.Obj
-      [ ("schema", Trace.Json.Str "sassi-bench-serve/1");
-        ("jobs", Trace.Json.Int rc.jobs);
-        ("kernels", Trace.Json.Int (List.length serve_kernels));
-        ("reps", Trace.Json.Int reps);
-        ("compile_cold_us", q cs);
-        ("compile_hit_us", q ws);
-        ("hit_speedup_p50",
-         Trace.Json.Float
-           (cs.Telemetry.Hist.s_p50 /. Float.max 1.0 ws.Telemetry.Hist.s_p50));
-        ("compile_bit_identical", Trace.Json.Bool !identical);
-        ("served_cold_wall_s", Trace.Json.Float cold_wall);
-        ("served_warm_wall_s", Trace.Json.Float warm_wall);
-        ("served_cache_hits", Trace.Json.Int daemon_hits);
-        ("served_manifests_identical", Trace.Json.Bool served_identical) ]
-  in
-  Trace.Json.write_file "BENCH_serve.json" json;
-  Printf.printf "\nwrote BENCH_serve.json\n%!";
-  if not !identical then begin
-    Printf.eprintf "serve: cache hit returned different SASS\n";
-    exit 1
-  end;
-  if not served_identical then begin
-    Printf.eprintf "serve: served manifests diverge between jobs\n";
-    exit 1
-  end;
-  if ws.Telemetry.Hist.s_p50 >= cs.Telemetry.Hist.s_p50 then begin
-    Printf.eprintf "serve: cache hit is not faster than cold compile\n";
-    exit 1
-  end
-
 (* --- Driver -------------------------------------------------------------------- *)
 
 let all rc =
@@ -1663,17 +1220,14 @@ let all rc =
   table3 rc;
   cachesim rc;
   scaling rc;
-  tracing rc;
   profiling rc;
   telemetry rc;
   analysis rc;
-  analysis_mem rc;
-  bechamel rc
+  analysis_mem rc
 
 let usage =
-  "table1|fig5|fig7|fig8|table2|fig10|table3|cachesim|scaling|tracing|\
-   profiling|telemetry|analysis|analysis-mem|parallel|host-overhead|serve|\
-   bechamel|all"
+  "table1|fig5|fig7|fig8|table2|fig10|table3|cachesim|scaling|profiling|\
+   telemetry|analysis|analysis-mem|parallel|all"
 
 let () =
   let quick = ref false and jobs = ref 1 and seed = ref 2025 in
@@ -1730,15 +1284,11 @@ let () =
          | "table3" -> table3 rc
          | "cachesim" -> cachesim rc
          | "scaling" -> scaling rc
-         | "tracing" -> tracing rc
          | "profiling" -> profiling rc
          | "telemetry" -> telemetry rc
          | "analysis" -> analysis rc
          | "analysis-mem" -> analysis_mem rc
          | "parallel" -> parallel rc
-         | "host-overhead" -> host_overhead rc
-         | "serve" -> serve rc
-         | "bechamel" -> bechamel rc
          | "all" -> all rc
          | other ->
            Printf.eprintf "unknown experiment %s (%s)\n" other usage;

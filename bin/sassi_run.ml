@@ -1638,9 +1638,10 @@ let default_term =
                end
                else if query then begin
                  List.iter
-                   (fun (name, unit_, desc) ->
-                      Format.printf "%-28s %-12s %s@." name unit_ desc)
-                   (Cupti.Metrics.query ());
+                   (fun m ->
+                      Format.printf "%-28s %-12s %s@." (Prof.Metrics.name m)
+                        (Prof.Metrics.unit_ m) (Prof.Metrics.description m))
+                   Prof.Metrics.registry;
                  `Ok 0
                end
                else `Help (`Pager, None))

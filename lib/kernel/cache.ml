@@ -80,10 +80,6 @@ let disable () =
       state.on <- false;
       drop_entries ())
 
-let enabled () = locked (fun () -> state.on)
-
-let clear () = locked drop_entries
-
 let key ~max_regs ~opt_level (k : Ast.kernel) =
   Digest.to_hex
     (Digest.string

@@ -36,11 +36,6 @@ val disable : unit -> unit
 (** Turn the cache off and drop every entry (counters are kept until
     the next {!enable} so a post-run scrape still sees them). *)
 
-val enabled : unit -> bool
-
-val clear : unit -> unit
-(** Drop every entry; keeps the enabled state and counters. *)
-
 val key : max_regs:int -> opt_level:int -> Ast.kernel -> string
 (** The content address: hex digest over a canonical (unshared)
     serialization of the AST and the compile options. *)

@@ -373,8 +373,11 @@ let handle_connection t fd =
    | exception Http.Bad_request msg ->
      (try ignore (Http.error_json ~code:400 oc msg) with _ -> ())
    | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) -> ());
-  (try close_out oc with _ -> ());
-  (try close_in ic with _ -> ())
+  (* [ic] and [oc] share [fd]: close it exactly once, or a descriptor
+     accepted in between is closed under its new owner. The _noerr
+     form still closes when the final flush fails on a client that
+     went away. *)
+  close_out_noerr oc
 
 let run t =
   locked t (fun () -> t.accepting <- true);

@@ -107,7 +107,7 @@ let test_metric_zero_denominators () =
       "achieved_occupancy"; "stall_breakdown" ]
 
 let test_metric_registry () =
-  let names = Cupti.Metrics.names () in
+  let names = Prof.Metrics.names () in
   List.iter
     (fun required ->
        check Alcotest.bool ("registry has " ^ required) true
@@ -116,10 +116,11 @@ let test_metric_registry () =
       "warp_execution_efficiency"; "gld_efficiency"; "gst_efficiency";
       "l1_hit_rate"; "l2_hit_rate"; "dram_throughput"; "stall_breakdown" ];
   List.iter
-    (fun (name, unit_, desc) ->
-       check Alcotest.bool (name ^ " described") true
-         (String.length desc > 0 && String.length unit_ > 0))
-    (Cupti.Metrics.query ());
+    (fun m ->
+       check Alcotest.bool (Prof.Metrics.name m ^ " described") true
+         (String.length (Prof.Metrics.description m) > 0
+          && String.length (Prof.Metrics.unit_ m) > 0))
+    Prof.Metrics.registry;
   (match Prof.Metrics.resolve [ "ipc"; "no_such_metric" ] with
    | Ok _ -> Alcotest.fail "resolve accepted an unknown metric"
    | Error e ->

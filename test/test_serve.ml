@@ -30,9 +30,11 @@ let parse_raw raw =
       Serve.Http.read_request ic)
 
 (* Minimal HTTP client for the daemon tests: one request, read to EOF
-   (every daemon response is Connection: close). *)
+   (every daemon response is Connection: close). The receive timeout
+   turns a reply that never comes into an exception, not a hung run. *)
 let http_request ?(body = "") ~meth ~path port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
@@ -451,6 +453,35 @@ let test_daemon_metrics_scrape_monotonic () =
       in
       check (Alcotest.float 0.0) "+Inf bucket equals count" count inf)
 
+(* Many short connections at once: each exchange must succeed. A
+   handler that closes its descriptor twice closes whichever socket
+   was given the same number in between, and the exchange on it
+   fails. Failures are counted, not raised, so all of them show. A
+   client can also be left reading a socket that is no longer its own
+   and has no receive timeout, so the clients are awaited with a
+   deadline instead of joined. *)
+let test_daemon_concurrent_connections () =
+  with_daemon (fun _d port ->
+      let failed = Atomic.make 0 and finished = Atomic.make 0 in
+      let client () =
+        for _ = 1 to 50 do
+          match http_request ~meth:"GET" ~path:"/healthz" port with
+          | 200, "{\"status\":\"ok\"}\n" -> ()
+          | _ -> Atomic.incr failed
+          | exception _ -> Atomic.incr failed
+        done;
+        Atomic.incr finished
+      in
+      for _ = 1 to 4 do
+        ignore (Thread.create client ())
+      done;
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while Atomic.get finished < 4 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check Alcotest.int "clients finished" 4 (Atomic.get finished);
+      check Alcotest.int "failed exchanges of 4 x 50" 0 (Atomic.get failed))
+
 let test_daemon_shutdown_via_http () =
   let d =
     Serve.Daemon.create
@@ -502,5 +533,7 @@ let suite =
          test_daemon_job_flow_and_manifest_identity;
        Alcotest.test_case "metrics scrape monotonic and consistent" `Quick
          test_daemon_metrics_scrape_monotonic;
+       Alcotest.test_case "concurrent connections" `Quick
+         test_daemon_concurrent_connections;
        Alcotest.test_case "HTTP shutdown" `Quick test_daemon_shutdown_via_http
      ]) ]

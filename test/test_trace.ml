@@ -306,6 +306,40 @@ let test_activity_deliver () =
     (Cupti.Activity.dropped dev);
   Cupti.Activity.disable dev
 
+(* One real launch overflowing the ring under the default policy
+   (Drop_oldest): what the ring keeps plus what it counts as dropped
+   must be the whole record stream, which the same launch under
+   Deliver hands over in full; the kept records must be that stream's
+   newest; and the launch itself must not change. *)
+let test_activity_drop_oldest_accounting () =
+  let capacity = 512 and n = 1024 in
+  let batches = ref [] in
+  let dev = device () in
+  Cupti.Activity.enable ~capacity
+    ~overflow:(Cupti.Activity.Deliver (fun b -> batches := b :: !batches))
+    dev Cupti.Activity.all_kinds;
+  let _ = run_saxpy dev n in
+  let stream =
+    List.concat_map Array.to_list (List.rev !batches)
+    @ Cupti.Activity.flush dev
+  in
+  Cupti.Activity.disable dev;
+  let dev = device () in
+  Cupti.Activity.enable ~capacity dev Cupti.Activity.all_kinds;
+  let stats = run_saxpy dev n in
+  let kept = Cupti.Activity.flush dev in
+  let dropped = Cupti.Activity.dropped dev in
+  Cupti.Activity.disable dev;
+  check Alcotest.bool "the launch overflows the ring" true
+    (List.length stream > capacity);
+  check Alcotest.int "kept + dropped = full stream" (List.length stream)
+    (List.length kept + dropped);
+  check Alcotest.bool "kept records are the newest of the stream" true
+    (kept = List.filteri (fun i _ -> i >= dropped) stream);
+  check Alcotest.(list (pair string int)) "Gpu.Stats equal a plain run's"
+    (Gpu.Stats.to_assoc (run_saxpy (device ()) n))
+    (Gpu.Stats.to_assoc stats)
+
 (* --- Zero perturbation ---------------------------------------------------- *)
 
 let test_tracing_preserves_stats () =
@@ -483,6 +517,8 @@ let suite =
       [ Alcotest.test_case "lifecycle" `Quick test_activity_lifecycle;
         Alcotest.test_case "kind filter" `Quick test_activity_filter;
         Alcotest.test_case "deliver callback" `Quick test_activity_deliver;
+        Alcotest.test_case "drop-oldest accounting" `Quick
+          test_activity_drop_oldest_accounting;
         Alcotest.test_case "stats unperturbed" `Quick
           test_tracing_preserves_stats
       ] );
