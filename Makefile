@@ -88,9 +88,11 @@ ci: fmt
 	@# byte-identical to --device-domains 1 — stats JSON, output
 	@# digest and telemetry export all cmp clean. Covers a kernel
 	@# that shards (sgemm), one forced sequential by cross-block
-	@# atomics (histo) and one by the plain-store alias scan (lud).
+	@# atomics (histo), one by the plain-store alias scan (lud), and
+	@# a workload whose launches mix both verdicts (gaussian: 94 of
+	@# 141 fall back).
 	@tmp=$$(mktemp -d); \
-	for w in parboil/sgemm parboil/histo rodinia/lud; do \
+	for w in parboil/sgemm parboil/histo rodinia/lud rodinia/gaussian; do \
 	  slug=$$(echo $$w | tr / -); \
 	  dune exec bin/sassi_run.exe -- run $$w --stats-json \
 	    --telemetry-out $$tmp/tele.json --device-domains 1 \

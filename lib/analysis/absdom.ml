@@ -91,6 +91,7 @@ let varish (a : Affine.t) = a.Affine.a_var || Affine.has_tid a
 
 module D = struct
   type nonrec t = t
+  type instr = Instr.t
 
   let equal a b =
     match (a, b) with

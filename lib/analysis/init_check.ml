@@ -7,6 +7,8 @@ let guard_code (g : Pred.guard) =
   (Pred.index g.Pred.pred * 2) + if g.Pred.negated then 1 else 0
 
 module D = struct
+  type instr = Instr.t
+
   type t = {
     must : Regset.t;  (* definitely initialized GPRs *)
     may : Regset.t;  (* possibly initialized GPRs *)

@@ -1,6 +1,8 @@
 open Sass
 
 module D = struct
+  type instr = Instr.t
+
   type t = {
     regs : Regset.t;  (* may-variant GPR indices *)
     preds : int;  (* may-variant predicate bitmask, bits 0..6 *)

@@ -271,17 +271,19 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
    path. The scan sees the post-transform kernel, so injected
    instrumentation is caught too. *)
 (* Pointer-parameter origin analysis backing the eligibility scan: a
-   flow-sensitive forward dataflow mapping each GPR, at each program
-   point, to the bitset of kernel parameter slots its value may
-   derive from (bit [i] = 4-byte slot [i]; the top bit is an "unknown
-   base" token for addresses not traceable to any parameter). Joins
-   are pointwise unions over {!Sass.Cfg.instr_successors} edges, so
-   register reuse by the allocator (the same register holding an
-   input pointer in one range and the output pointer in another) does
-   not smear origins together. Values loaded from memory are treated
-   as data, not pointers: in this machine, pointers enter kernels
-   only through the constant bank, never through global/shared/local
-   memory, so the assumption is sound for every compilable kernel. *)
+   flow-sensitive forward {!Sass.Dataflow} domain mapping each GPR, at
+   each program point, to the bitset of kernel parameter slots its
+   value may derive from (bit [i] = 4-byte slot [i]; the top bit is an
+   "unknown base" token for addresses not traceable to any parameter).
+   Joins are pointwise unions, so register reuse by the allocator (the
+   same register holding an input pointer in one range and the output
+   pointer in another) does not smear origins together. Values loaded
+   from memory are treated as data, not pointers: in this machine,
+   pointers enter kernels only through the constant bank, never
+   through global/shared/local memory, so the assumption is sound for
+   every compilable kernel. Unreachable code is solved too, from the
+   empty map, so its accesses count toward the load/store sets (the
+   conservative direction). *)
 
 let unknown_base_bit = 1 lsl 62
 
@@ -289,27 +291,25 @@ let slot_bit byte_off =
   let slot = byte_off / 4 in
   if slot >= 0 && slot < 62 then 1 lsl slot else unknown_base_bit
 
-(* In-state per PC: reg index -> origin bitset. Worklist seeded with
-   every PC so unreachable code is analyzed too (its accesses then
-   count toward the load/store sets — the conservative direction). *)
-let param_origin_states (instrs : Sass.Instr.t array) =
-  let n = Array.length instrs in
-  let states = Array.init n (fun _ -> Array.make 256 0) in
-  let pending = Array.make n true in
-  let work = Queue.create () in
-  for pc = 0 to n - 1 do
-    Queue.add pc work
-  done;
-  while not (Queue.is_empty work) do
-    let pc = Queue.pop work in
-    pending.(pc) <- false;
-    let st = states.(pc) in
-    let i = instrs.(pc) in
-    let src_origin = function
-      | Sass.Instr.SReg r -> st.(Sass.Reg.index r)
-      | Sass.Instr.SParam off -> slot_bit off
-      | Sass.Instr.SImm _ | Sass.Instr.SPred _ -> 0
-    in
+module Origins = struct
+  module M = Map.Make (Int)
+
+  (* Register index -> origin bitset. Only non-zero sets are bound, so
+     two states with the same origins are equal as maps. *)
+  type t = int M.t
+  type instr = Sass.Instr.t
+
+  let equal = M.equal Int.equal
+  let join = M.union (fun _ a b -> Some (a lor b))
+  let widen = join
+
+  let of_src st = function
+    | Sass.Instr.SReg r ->
+      Option.value (M.find_opt (Sass.Reg.index r) st) ~default:0
+    | Sass.Instr.SParam off -> slot_bit off
+    | Sass.Instr.SImm _ | Sass.Instr.SPred _ -> 0
+
+  let transfer ~pc:_ (i : Sass.Instr.t) st =
     let incoming =
       match Sass.Instr.mem_access i with
       | Some m when m.Sass.Instr.m_is_load ->
@@ -331,50 +331,33 @@ let param_origin_states (instrs : Sass.Instr.t array) =
            into every address through them, and keeping its origin
            would alias all loads with all stores. IMAD propagates
            only the addend; its product term is a scaled offset. *)
-        let fold srcs =
-          List.fold_left (fun acc s -> acc lor src_origin s) 0 srcs
-        in
         (match i.Sass.Instr.op with
          | Sass.Opcode.IADD | Sass.Opcode.ISUB | Sass.Opcode.IMNMX _
          | Sass.Opcode.LOP _ | Sass.Opcode.MOV | Sass.Opcode.SEL ->
-           fold i.Sass.Instr.srcs
+           List.fold_left (fun acc s -> acc lor of_src st s) 0
+             i.Sass.Instr.srcs
          | Sass.Opcode.IMAD ->
            (match i.Sass.Instr.srcs with
-            | _ :: _ :: addend :: _ -> src_origin addend
+            | _ :: _ :: addend :: _ -> of_src st addend
             | _ -> 0)
          | _ -> 0)
     in
-    let out = Array.copy st in
-    List.iter
-      (fun r ->
-        if not (Sass.Reg.is_zero r) then begin
+    List.fold_left
+      (fun acc r ->
+        if Sass.Reg.is_zero r then acc
+        else begin
           let idx = Sass.Reg.index r in
           (* A guarded write may not execute, so it only widens. *)
-          if Sass.Pred.is_always i.Sass.Instr.guard then out.(idx) <- incoming
-          else out.(idx) <- out.(idx) lor incoming
+          let o =
+            if Sass.Pred.is_always i.Sass.Instr.guard then incoming
+            else incoming lor Option.value (M.find_opt idx acc) ~default:0
+          in
+          if o = 0 then M.remove idx acc else M.add idx o acc
         end)
-      (Sass.Instr.defs i);
-    List.iter
-      (fun succ ->
-        if succ >= 0 && succ < n then begin
-          let s = states.(succ) in
-          let changed = ref false in
-          Array.iteri
-            (fun k v ->
-              let joined = v lor out.(k) in
-              if joined <> v then begin
-                s.(k) <- joined;
-                changed := true
-              end)
-            s;
-          if !changed && not pending.(succ) then begin
-            pending.(succ) <- true;
-            Queue.add succ work
-          end
-        end)
-      (Sass.Cfg.instr_successors instrs pc)
-  done;
-  states
+      st (Sass.Instr.defs i)
+end
+
+module Origin_solver = Sass.Dataflow.Make (Origins)
 
 (* A kernel can shard only when no global load can alias a global
    store from another block. We approximate alias-freedom at the
@@ -388,8 +371,11 @@ let param_origin_states (instrs : Sass.Instr.t array) =
    values to the *same* address remain out of model, as they are for
    real hardware. [CAL] forces a fallback because the CFG treats it
    as straight-line, which would hide callee effects (the DSL never
-   emits it; only hand-built programs could). *)
+   emits it; only hand-built programs could). A kernel the CFG cannot
+   represent (empty, or branching out of range) also runs
+   sequentially, where it traps. *)
 let shardable_kernel (k : Sass.Program.kernel) =
+  let instrs = k.Sass.Program.instrs in
   let no_traps =
     Array.for_all
       (fun (i : Sass.Instr.t) ->
@@ -398,29 +384,30 @@ let shardable_kernel (k : Sass.Program.kernel) =
         | Sass.Opcode.RED (Sass.Opcode.Global, _, _)
         | Sass.Opcode.HCALL _ | Sass.Opcode.CAL -> false
         | _ -> true)
-      k.Sass.Program.instrs
+      instrs
   in
   no_traps
   &&
-  let states = param_origin_states k.Sass.Program.instrs in
-  let load_set = ref 0 and store_set = ref 0 in
-  Array.iteri
-    (fun pc (i : Sass.Instr.t) ->
-      match Sass.Instr.mem_access i with
-      | Some m when m.Sass.Instr.m_space = Sass.Opcode.Global ->
-        let st = states.(pc) in
-        let of_src = function
-          | Sass.Instr.SReg r -> st.(Sass.Reg.index r)
-          | Sass.Instr.SParam off -> slot_bit off
-          | Sass.Instr.SImm _ | Sass.Instr.SPred _ -> 0
-        in
-        let o = of_src m.Sass.Instr.m_base lor of_src m.Sass.Instr.m_off in
-        let o = if o = 0 then unknown_base_bit else o in
-        if m.Sass.Instr.m_is_load then load_set := !load_set lor o;
-        if m.Sass.Instr.m_is_store then store_set := !store_set lor o
-      | _ -> ())
-    k.Sass.Program.instrs;
-  !load_set land !store_set = 0
+  match Sass.Cfg.build instrs with
+  | exception Invalid_argument _ -> false
+  | cfg ->
+    let origins =
+      Origin_solver.solve ~direction:Sass.Dataflow.Forward
+        ~boundary:Origins.M.empty ~init:Origins.M.empty instrs cfg
+    in
+    let load_set = ref 0 and store_set = ref 0 in
+    Array.iteri
+      (fun pc (i : Sass.Instr.t) ->
+        match Sass.Instr.mem_access i with
+        | Some m when m.Sass.Instr.m_space = Sass.Opcode.Global ->
+          let of_src = Origins.of_src origins.Origin_solver.before.(pc) in
+          let o = of_src m.Sass.Instr.m_base lor of_src m.Sass.Instr.m_off in
+          let o = if o = 0 then unknown_base_bit else o in
+          if m.Sass.Instr.m_is_load then load_set := !load_set lor o;
+          if m.Sass.Instr.m_is_store then store_set := !store_set lor o
+        | _ -> ())
+      instrs;
+    !load_set land !store_set = 0
 
 (* --- Per-SM observation contexts (sharded mode) -------------------------- *)
 

@@ -187,8 +187,8 @@ let dead_code_eliminate items =
   let cfg = build_cfg items in
   let lv = liveness items cfg in
   let keep = Array.make (Array.length items) true in
-  for b = 0 to block_count cfg - 1 do
-    let first, last = block_range cfg b in
+  for b = 0 to Array.length cfg.Sass.Cfg.blocks - 1 do
+    let { Sass.Cfg.first; last; _ } = cfg.Sass.Cfg.blocks.(b) in
     let live_r =
       ref (List.fold_left (fun s r -> r :: s) [] (live_out_regs lv ~block:b))
     in

@@ -54,152 +54,89 @@ let has_side_effect i =
       | NOP -> i.vsrcs <> []  (* marker NOPs are kept *)
       | _ -> false)
 
-(* --- CFG ---------------------------------------------------------------- *)
-
-type cfg = {
-  firsts : int array;  (* first item index per block *)
-  lasts : int array;
-  succs : int list array;
-  item_block : int array;
-}
+(* --- CFG and liveness ---------------------------------------------------- *)
 
 let build_cfg items =
   let n = Array.length items in
   let label_pos = Hashtbl.create 16 in
-  Array.iteri
-    (fun idx it ->
-       match it with
-       | Label l -> Hashtbl.replace label_pos l idx
-       | Ins _ -> ())
-    items;
   let leader = Array.make n false in
-  if n > 0 then leader.(0) <- true;
   Array.iteri
     (fun idx it ->
        match it with
-       | Label _ -> leader.(idx) <- true
+       | Label l ->
+         Hashtbl.replace label_pos l idx;
+         leader.(idx) <- true
        | Ins i ->
          (match i.vop with
           | Sass.Opcode.BRA | Sass.Opcode.EXIT | Sass.Opcode.RET ->
             if idx + 1 < n then leader.(idx + 1) <- true
           | _ -> ()))
     items;
-  let firsts = ref [] in
-  for idx = n - 1 downto 0 do
-    if leader.(idx) then firsts := idx :: !firsts
-  done;
-  let firsts = Array.of_list !firsts in
-  let nb = Array.length firsts in
-  let lasts =
-    Array.init nb (fun b ->
-        (if b + 1 < nb then firsts.(b + 1) else n) - 1)
+  let succs idx =
+    let fallthrough = if idx + 1 < n then [ idx + 1 ] else [] in
+    match items.(idx) with
+    | Label _ -> fallthrough
+    | Ins i ->
+      (match i.vop with
+       | Sass.Opcode.EXIT | Sass.Opcode.RET ->
+         (* Guarded EXIT falls through for the surviving lanes. *)
+         if i.vguard.g_pred = None then [] else fallthrough
+       | Sass.Opcode.BRA ->
+         let t =
+           match i.vtarget with
+           | Some l ->
+             (match Hashtbl.find_opt label_pos l with
+              | Some t -> t
+              | None -> invalid_arg (Printf.sprintf "Vir: unknown label %s" l))
+           | None -> invalid_arg "Vir: BRA without label"
+         in
+         if i.vguard.g_pred = None then [ t ] else t :: fallthrough
+       | _ -> fallthrough)
   in
-  let item_block = Array.make n (-1) in
-  Array.iteri
-    (fun b first ->
-       for idx = first to lasts.(b) do
-         item_block.(idx) <- b
-       done)
-    firsts;
-  let block_of_label l =
-    match Hashtbl.find_opt label_pos l with
-    | Some idx -> item_block.(idx)
-    | None -> invalid_arg (Printf.sprintf "Vir: unknown label %s" l)
-  in
-  let succs =
-    Array.init nb (fun b ->
-        let last = lasts.(b) in
-        let fallthrough = if b + 1 < nb then [ b + 1 ] else [] in
-        match items.(last) with
-        | Label _ -> fallthrough
-        | Ins i ->
-          (match i.vop with
-           | Sass.Opcode.EXIT | Sass.Opcode.RET ->
-             (* Guarded EXIT falls through for the surviving lanes. *)
-             if i.vguard.g_pred = None then [] else fallthrough
-           | Sass.Opcode.BRA ->
-             let t =
-               match i.vtarget with
-               | Some l -> block_of_label l
-               | None -> invalid_arg "Vir: BRA without label"
-             in
-             if i.vguard.g_pred = None then [ t ]
-             else List.sort_uniq Int.compare (t :: fallthrough)
-           | _ -> fallthrough))
-  in
-  { firsts; lasts; succs; item_block }
-
-let block_count c = Array.length c.firsts
-
-let block_range c b = (c.firsts.(b), c.lasts.(b))
-
-let block_succs c b = c.succs.(b)
-
-let block_of_item c idx = c.item_block.(idx)
-
-(* --- Liveness ----------------------------------------------------------- *)
+  Sass.Cfg.make ~leader ~succs
 
 module ISet = Set.Make (Int)
 
-type liveness = {
-  out_regs : ISet.t array;
-  out_preds : ISet.t array;
-}
+(* Live virtual registers and live virtual predicates. *)
+module Live = struct
+  type t = ISet.t * ISet.t
+  type instr = item
 
-let transfer_block items cfg b (live_r, live_p) =
-  let first, last = block_range cfg b in
-  let live_r = ref live_r and live_p = ref live_p in
-  for idx = last downto first do
-    match items.(idx) with
-    | Label _ -> ()
+  let equal (r, p) (r', p') = ISet.equal r r' && ISet.equal p p'
+  let join (r, p) (r', p') = (ISet.union r r', ISet.union p p')
+  let widen = join
+
+  let transfer ~pc:_ it (live_r, live_p) =
+    match it with
+    | Label _ -> (live_r, live_p)
     | Ins i ->
-      if i.vguard.g_pred = None then begin
-        List.iter (fun d -> live_r := ISet.remove d !live_r) i.vdsts;
-        List.iter (fun d -> live_p := ISet.remove d !live_p) i.vpdsts
-      end;
-      List.iter (fun u -> live_r := ISet.add u !live_r) (reg_uses i);
-      List.iter (fun u -> live_p := ISet.add u !live_p) (pred_uses i)
-  done;
-  (!live_r, !live_p)
-
-let liveness items cfg =
-  let nb = block_count cfg in
-  let in_r = Array.make nb ISet.empty in
-  let in_p = Array.make nb ISet.empty in
-  let out_r = Array.make nb ISet.empty in
-  let out_p = Array.make nb ISet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let o_r =
-        List.fold_left
-          (fun acc s -> ISet.union acc in_r.(s))
-          ISet.empty (block_succs cfg b)
+      let live_r, live_p =
+        if i.vguard.g_pred = None then
+          ( List.fold_left (fun s d -> ISet.remove d s) live_r i.vdsts,
+            List.fold_left (fun s d -> ISet.remove d s) live_p i.vpdsts )
+        else (live_r, live_p)
       in
-      let o_p =
-        List.fold_left
-          (fun acc s -> ISet.union acc in_p.(s))
-          ISet.empty (block_succs cfg b)
-      in
-      out_r.(b) <- o_r;
-      out_p.(b) <- o_p;
-      let i_r, i_p = transfer_block items cfg b (o_r, o_p) in
-      if not (ISet.equal i_r in_r.(b)) then begin
-        in_r.(b) <- i_r;
-        changed := true
-      end;
-      if not (ISet.equal i_p in_p.(b)) then begin
-        in_p.(b) <- i_p;
-        changed := true
-      end
-    done
-  done;
-  { out_regs = out_r; out_preds = out_p }
+      ( List.fold_left (fun s u -> ISet.add u s) live_r (reg_uses i),
+        List.fold_left (fun s u -> ISet.add u s) live_p (pred_uses i) )
+end
 
-let live_out_regs lv ~block = ISet.elements lv.out_regs.(block)
+module Live_solver = Sass.Dataflow.Make (Live)
 
-let live_out_preds lv ~block = ISet.elements lv.out_preds.(block)
+(* Live-out state per block. *)
+type liveness = Live.t array
+
+let liveness items (cfg : Sass.Cfg.t) =
+  let none = (ISet.empty, ISet.empty) in
+  let r =
+    Live_solver.solve ~direction:Sass.Dataflow.Backward ~boundary:none
+      ~init:none items cfg
+  in
+  Array.map (fun (b : Sass.Cfg.block) -> r.Live_solver.after.(b.last))
+    cfg.blocks
+
+let live_out_regs lv ~block = ISet.elements (fst lv.(block))
+
+let live_out_preds lv ~block = ISet.elements (snd lv.(block))
 
 let ranges_generic items cfg ~defs ~uses ~live_out =
   let table : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
@@ -217,16 +154,16 @@ let ranges_generic items cfg ~defs ~uses ~live_out =
          List.iter (fun v -> extend v idx) (uses i))
     items;
   (* Values live out of a block are live through the whole block. *)
-  for b = 0 to block_count cfg - 1 do
-    let first, last = block_range cfg b in
-    List.iter
-      (fun v ->
-         extend v last;
-         (* If live-out without a def in this block, it is live from
-            the top of the block. *)
-         extend v first)
-      (live_out b)
-  done;
+  Array.iter
+    (fun (b : Sass.Cfg.block) ->
+       List.iter
+         (fun v ->
+            extend v b.last;
+            (* If live-out without a def in this block, it is live from
+               the top of the block. *)
+            extend v b.first)
+         (live_out b.id))
+    cfg.Sass.Cfg.blocks;
   Hashtbl.fold (fun v r acc -> (v, r) :: acc) table []
   |> List.sort (fun (_, (a, _)) (_, (b, _)) -> Int.compare a b)
 

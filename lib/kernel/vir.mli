@@ -48,32 +48,29 @@ val has_side_effect : vinstr -> bool
 
 (** {1 CFG and liveness over item arrays} *)
 
-type cfg
-
-val build_cfg : item array -> cfg
-
-val block_count : cfg -> int
-
-val block_range : cfg -> int -> int * int
-(** Item-index range (first, last) of a block, inclusive. *)
-
-val block_succs : cfg -> int -> int list
-
-val block_of_item : cfg -> int -> int
+val build_cfg : item array -> Sass.Cfg.t
+(** Blocks over item indices. Unlike {!Sass.Cfg.build}, every label
+    starts a block, targeted or not: {!Regalloc} widens live ranges to
+    whole blocks, so the block boundaries set its intervals.
+    @raise Invalid_argument on a branch to an unknown label. *)
 
 type liveness
 
-val liveness : item array -> cfg -> liveness
+val liveness : item array -> Sass.Cfg.t -> liveness
+(** Backward {!Sass.Dataflow} over virtual registers and predicates;
+    guarded definitions do not kill. *)
 
 val live_out_regs : liveness -> block:int -> int list
 
 val live_out_preds : liveness -> block:int -> int list
 
-val reg_live_ranges : item array -> cfg -> liveness -> (int * (int * int)) list
+val reg_live_ranges :
+  item array -> Sass.Cfg.t -> liveness -> (int * (int * int)) list
 (** Conservative live interval (first, last item index) per virtual
     register, suitable for linear-scan allocation. *)
 
-val pred_live_ranges : item array -> cfg -> liveness -> (int * (int * int)) list
+val pred_live_ranges :
+  item array -> Sass.Cfg.t -> liveness -> (int * (int * int)) list
 
 val pp_item : Format.formatter -> item -> unit
 

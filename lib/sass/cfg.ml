@@ -39,32 +39,13 @@ let instr_successors instrs pc =
   | Opcode.SHFL _ | Opcode.CAL | Opcode.BAR | Opcode.NOP
   | Opcode.HCALL _ -> fallthrough
 
-let build instrs =
-  let n = Array.length instrs in
-  if n = 0 then invalid_arg "Cfg.build: empty program";
-  let leader = Array.make n false in
-  leader.(0) <- true;
-  for pc = 0 to n - 1 do
-    let i = instrs.(pc) in
-    if Opcode.is_control i.Instr.op then begin
-      (match i.Instr.op with
-       | Opcode.BRA ->
-         (match i.Instr.target with
-          | Some t -> leader.(t) <- true
-          | None -> invalid_arg "Cfg: BRA without resolved target")
-       | _ -> ());
-      (* HCALL and CAL fall through without ending a block; branches,
-         returns and exits end one. *)
-      match i.Instr.op with
-      | Opcode.BRA | Opcode.RET | Opcode.EXIT ->
-        if pc + 1 < n then leader.(pc + 1) <- true
-      | _ -> ()
-    end
-  done;
+let make ~leader ~succs:succ_pcs =
+  let n = Array.length leader in
+  if n = 0 then invalid_arg "Cfg.make: empty program";
   let block_of_pc = Array.make n (-1) in
   let firsts = ref [] in
   for pc = n - 1 downto 0 do
-    if leader.(pc) then firsts := pc :: !firsts
+    if leader.(pc) || pc = 0 then firsts := pc :: !firsts
   done;
   let firsts = Array.of_list !firsts in
   let nblocks = Array.length firsts in
@@ -82,7 +63,7 @@ let build instrs =
   let succs =
     Array.mapi
       (fun b _ ->
-         instr_successors instrs lasts.(b)
+         succ_pcs lasts.(b)
          |> List.map (fun pc -> block_of_pc.(pc))
          |> List.sort_uniq Int.compare)
       firsts
@@ -106,8 +87,28 @@ let build instrs =
       List.iter mark blocks.(b).succs
     end
   in
-  mark block_of_pc.(0);
+  mark 0;
   { blocks; block_of_pc; reachable }
+
+let build instrs =
+  let n = Array.length instrs in
+  let leader = Array.make n false in
+  for pc = 0 to n - 1 do
+    let i = instrs.(pc) in
+    (match i.Instr.op with
+     | Opcode.BRA ->
+       (match i.Instr.target with
+        | Some t -> leader.(t) <- true
+        | None -> invalid_arg "Cfg: BRA without resolved target")
+     | _ -> ());
+    (* HCALL and CAL fall through without ending a block; branches,
+       returns and exits end one. *)
+    match i.Instr.op with
+    | Opcode.BRA | Opcode.RET | Opcode.EXIT ->
+      if pc + 1 < n then leader.(pc + 1) <- true
+    | _ -> ()
+  done;
+  make ~leader ~succs:(instr_successors instrs)
 
 let block_at t pc = t.blocks.(t.block_of_pc.(pc))
 

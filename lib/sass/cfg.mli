@@ -2,9 +2,10 @@
 
     PCs are instruction indices. Basic blocks are maximal straight-line
     ranges; [CAL] and [HCALL] are treated as straight-line (they return
-    to the following instruction).
+    to the following instruction). The kernel backend builds the same
+    record over its IR items through {!make}, with its own leader rule.
 
-    {b Invariants} (relied upon by every analysis in [lib/analysis]):
+    {b Invariants} (relied upon by {!Dataflow} and every analysis on it):
     - The blocks partition the instruction array: every PC in
       [0, Array.length instrs) belongs to exactly one block, and
       [block_of_pc] is total — this includes code that is unreachable
@@ -19,8 +20,8 @@
       from unreachable code into reachable code.
     - [reachable] marks reachability from the entry block (the block
       containing PC 0); analyses that only want live code (linters,
-      dead-code checks) filter on it, while [Liveness] and the
-      dataflow solver still compute sound states for unreachable
+      dead-code checks) filter on it, while the {!Dataflow} solver
+      (and so [Liveness]) still computes sound states for unreachable
       blocks. *)
 
 type block = {
@@ -41,7 +42,16 @@ type t = {
 val instr_successors : Instr.t array -> int -> int list
 (** Successor PCs of the instruction at the given PC. *)
 
+val make : leader:bool array -> succs:(int -> int list) -> t
+(** The block constructor behind every CFG. Blocks start at PC 0 and at
+    every PC whose [leader] flag is set, and run to the next leader;
+    each block links to the blocks holding [succs last], the successor
+    PCs of its last instruction.
+    @raise Invalid_argument on an empty [leader] array. *)
+
 val build : Instr.t array -> t
+(** Leaders are branch targets and the PCs after [BRA], [RET] and
+    [EXIT]; edges are {!instr_successors}. *)
 
 val block_at : t -> int -> block
 (** Block containing the given PC. *)

@@ -1,16 +1,15 @@
-open Sass
-
 type direction =
   | Forward
   | Backward
 
 module type DOMAIN = sig
   type t
+  type instr
 
   val equal : t -> t -> bool
   val join : t -> t -> t
   val widen : t -> t -> t
-  val transfer : pc:int -> Instr.t -> t -> t
+  val transfer : pc:int -> instr -> t -> t
 end
 
 module Make (D : DOMAIN) = struct

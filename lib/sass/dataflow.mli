@@ -1,4 +1,7 @@
-(** Generic worklist dataflow over {!Sass.Cfg}.
+(** Generic worklist dataflow over a {!Cfg.t}, the one dataflow solver
+    in the tree. A domain names the instruction type it transfers
+    over, so it runs over SASS instructions and over the kernel
+    backend's IR items alike (see {!Cfg.make}).
 
     The solver iterates block-level states to a fixpoint in
     reverse-postorder (postorder for backward problems), then expands
@@ -7,7 +10,8 @@
     reachable block never has an unreachable predecessor (see
     [cfg.mli]), unreachable state can never leak into reachable code,
     and must-style analyses that seed interior blocks with top simply
-    stay silent there. *)
+    stay silent there. Starting from [init] = bottom, the result is the
+    least fixpoint, which does not depend on the visiting order. *)
 
 type direction =
   | Forward
@@ -15,6 +19,9 @@ type direction =
 
 module type DOMAIN = sig
   type t
+
+  type instr
+  (** What a CFG node holds: {!Instr.t}, or an IR item. *)
 
   val equal : t -> t -> bool
 
@@ -30,7 +37,7 @@ module type DOMAIN = sig
       infinite ascending chains (intervals) must jump unstable bounds
       to a sentinel. *)
 
-  val transfer : pc:int -> Sass.Instr.t -> t -> t
+  val transfer : pc:int -> instr -> t -> t
   (** Effect of one instruction. For [Backward] problems the input is
       the state {e after} the instruction and the result the state
       before it. *)
@@ -47,8 +54,8 @@ module Make (D : DOMAIN) : sig
     direction:direction ->
     boundary:D.t ->
     init:D.t ->
-    Sass.Instr.t array ->
-    Sass.Cfg.t ->
+    D.instr array ->
+    Cfg.t ->
     result
   (** [boundary] is the state at the kernel entry ([Forward]) or at
       every exit block ([Backward]); [init] seeds all other block

@@ -1,133 +1,67 @@
-(* Liveness as bitsets: 256 GPR bits in four ints is overkill — use
-   a simple int array of 4 words for GPRs and one int for predicates. *)
+(* Backward liveness as a {!Dataflow} domain: GPR indices in a
+   {!Regset}, predicate indices in a bitmask. *)
 
-module Bits = struct
-  type t = { w : int array }  (* 4 x 64-bit words covering 256 regs *)
+module D = struct
+  type t = {
+    gprs : Regset.t;
+    preds : int;
+  }
 
-  let create () = { w = Array.make 4 0 }
+  type instr = Instr.t
 
-  let copy t = { w = Array.copy t.w }
+  let equal a b = a.preds = b.preds && Regset.equal a.gprs b.gprs
 
-  let set t i = t.w.(i lsr 6) <- t.w.(i lsr 6) lor (1 lsl (i land 63))
+  let join a b =
+    { gprs = Regset.union a.gprs b.gprs; preds = a.preds lor b.preds }
 
-  let clear t i = t.w.(i lsr 6) <- t.w.(i lsr 6) land lnot (1 lsl (i land 63))
+  let widen = join
 
-  let mem t i = t.w.(i lsr 6) land (1 lsl (i land 63)) <> 0
-
-  let union_into ~into t =
-    let changed = ref false in
-    for k = 0 to 3 do
-      let v = into.w.(k) lor t.w.(k) in
-      if v <> into.w.(k) then begin
-        into.w.(k) <- v;
-        changed := true
-      end
-    done;
-    !changed
-
-  let elements t =
-    let out = ref [] in
-    for i = 255 downto 0 do
-      if mem t i then out := i :: !out
-    done;
-    !out
+  (* Given the state after [i], the state before it. *)
+  let transfer ~pc:_ (i : Instr.t) after =
+    let killed =
+      if Pred.is_always i.Instr.guard then
+        { gprs =
+            List.fold_left
+              (fun s r -> Regset.remove (Reg.index r) s)
+              after.gprs (Instr.defs i);
+          preds =
+            List.fold_left
+              (fun m p -> m land lnot (1 lsl Pred.index p))
+              after.preds (Instr.pdefs i) }
+      else after
+    in
+    { gprs =
+        List.fold_left
+          (fun s r -> Regset.add (Reg.index r) s)
+          killed.gprs (Instr.uses i);
+      preds =
+        List.fold_left
+          (fun m p -> m lor (1 lsl Pred.index p))
+          killed.preds (Instr.puses i) }
 end
 
-type t = {
-  live_in : Bits.t array;  (* GPR live-in per pc *)
-  live_out : Bits.t array;
-  plive_in : int array;  (* predicate live-in bitmask per pc *)
-  plive_out : int array;
-}
+module Solver = Dataflow.Make (D)
 
-let transfer instrs pc live plive =
-  (* Given live/plive *after* pc, produce live/plive *before* pc. *)
-  let i = instrs.(pc) in
-  let live = Bits.copy live in
-  let plive = ref plive in
-  let unconditional = Pred.is_always i.Instr.guard in
-  if unconditional then begin
-    List.iter (fun r -> Bits.clear live (Reg.index r)) (Instr.defs i);
-    List.iter
-      (fun p -> plive := !plive land lnot (1 lsl Pred.index p))
-      (Instr.pdefs i)
-  end;
-  List.iter (fun r -> Bits.set live (Reg.index r)) (Instr.uses i);
-  List.iter (fun p -> plive := !plive lor (1 lsl Pred.index p)) (Instr.puses i);
-  (live, !plive)
+type t = Solver.result
 
 let analyze instrs =
-  let n = Array.length instrs in
-  let cfg = Cfg.build instrs in
-  let nb = Array.length cfg.Cfg.blocks in
-  let blk_live_in = Array.init nb (fun _ -> Bits.create ()) in
-  let blk_plive_in = Array.make nb 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let blk = cfg.Cfg.blocks.(b) in
-      let live = Bits.create () in
-      let plive = ref 0 in
-      List.iter
-        (fun s ->
-           ignore (Bits.union_into ~into:live blk_live_in.(s));
-           plive := !plive lor blk_plive_in.(s))
-        blk.Cfg.succs;
-      let live = ref live in
-      for pc = blk.Cfg.last downto blk.Cfg.first do
-        let l, p = transfer instrs pc !live !plive in
-        live := l;
-        plive := p
-      done;
-      if Bits.union_into ~into:blk_live_in.(b) !live then changed := true;
-      let merged = blk_plive_in.(b) lor !plive in
-      if merged <> blk_plive_in.(b) then begin
-        blk_plive_in.(b) <- merged;
-        changed := true
-      end
-    done
-  done;
-  (* Second pass: record per-instruction live-in/out. *)
-  let live_in = Array.init n (fun _ -> Bits.create ()) in
-  let live_out = Array.init n (fun _ -> Bits.create ()) in
-  let plive_in = Array.make n 0 in
-  let plive_out = Array.make n 0 in
-  Array.iter
-    (fun blk ->
-       let live = Bits.create () in
-       let plive = ref 0 in
-       List.iter
-         (fun s ->
-            ignore (Bits.union_into ~into:live blk_live_in.(s));
-            plive := !plive lor blk_plive_in.(s))
-         blk.Cfg.succs;
-       let live = ref live in
-       for pc = blk.Cfg.last downto blk.Cfg.first do
-         live_out.(pc) <- Bits.copy !live;
-         plive_out.(pc) <- !plive;
-         let l, p = transfer instrs pc !live !plive in
-         live := l;
-         plive := p;
-         live_in.(pc) <- Bits.copy l;
-         plive_in.(pc) <- p
-       done)
-    cfg.Cfg.blocks;
-  { live_in; live_out; plive_in; plive_out }
+  let none = { D.gprs = Regset.empty; preds = 0 } in
+  Solver.solve ~direction:Dataflow.Backward ~boundary:none ~init:none instrs
+    (Cfg.build instrs)
 
-let gprs_of_bits bits =
-  Bits.elements bits
+let gprs (st : D.t) =
+  Regset.elements st.D.gprs
   |> List.filter (fun i -> i <> 255)
   |> List.map Reg.of_index
 
-let preds_of_mask mask =
-  List.filter (fun i -> mask land (1 lsl i) <> 0) [ 0; 1; 2; 3; 4; 5; 6 ]
+let preds (st : D.t) =
+  List.filter (fun i -> st.D.preds land (1 lsl i) <> 0) [ 0; 1; 2; 3; 4; 5; 6 ]
   |> List.map Pred.p
 
-let live_gprs_before t pc = gprs_of_bits t.live_in.(pc)
+let live_gprs_before t pc = gprs t.Solver.before.(pc)
 
-let live_preds_before t pc = preds_of_mask t.plive_in.(pc)
+let live_preds_before t pc = preds t.Solver.before.(pc)
 
-let live_gprs_after t pc = gprs_of_bits t.live_out.(pc)
+let live_gprs_after t pc = gprs t.Solver.after.(pc)
 
-let live_preds_after t pc = preds_of_mask t.plive_out.(pc)
+let live_preds_after t pc = preds t.Solver.after.(pc)

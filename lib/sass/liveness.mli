@@ -7,8 +7,9 @@
 type t
 
 val analyze : Instr.t array -> t
-(** Backward dataflow over the CFG. Guarded (predicated) instructions
-    are treated as may-writes: their definitions do not kill. *)
+(** A backward {!Dataflow} domain over the CFG. Guarded (predicated)
+    instructions are treated as may-writes: their definitions do not
+    kill. *)
 
 val live_gprs_before : t -> int -> Reg.t list
 (** GPRs live immediately before the instruction at the given PC,

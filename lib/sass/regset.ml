@@ -48,10 +48,15 @@ let popcount x =
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
 
+(* Skips empty words: liveness queries call this at every PC, and most
+   sets live in the first word. *)
 let elements s =
   let out = ref [] in
-  for i = 255 downto 0 do
-    if mem i s then out := i :: !out
+  for w = words - 1 downto 0 do
+    if s.(w) <> 0 then
+      for b = bits - 1 downto 0 do
+        if s.(w) land (1 lsl b) <> 0 then out := ((w * bits) + b) :: !out
+      done
   done;
   !out
 

@@ -1,6 +1,6 @@
 (** Immutable sets of register indices in [0, 256), used as the
     lattice elements of the register dataflow analyses. Indices follow
-    {!Sass.Reg.index} / {!Sass.Pred.index} conventions (so [RZ] is 255
+    {!Reg.index} / {!Pred.index} conventions (so [RZ] is 255
     and fits, though analyses normally exclude it). *)
 
 type t

@@ -20,13 +20,24 @@ let max_body_bytes = 8 * 1024 * 1024
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_request m)) fmt
 
-(* [input_line] minus the CR of CRLF line endings; length-capped so a
-   hostile peer cannot grow an unbounded buffer. *)
+(* One line without its LF and the CR of a CRLF ending; [None] at end
+   of file before any byte. Read a byte at a time and refused once
+   [max_line_bytes] is passed, so a peer that never sends a newline
+   gets its 400 then instead of growing an unbounded buffer. *)
 let read_line ic =
-  match input_line ic with
-  | exception End_of_file -> None
-  | line ->
-    if String.length line > max_line_bytes then bad "request line too long";
+  let buf = Buffer.create 128 in
+  let rec go () =
+    match input_char ic with
+    | exception End_of_file -> Buffer.length buf > 0
+    | '\n' -> true
+    | c ->
+      Buffer.add_char buf c;
+      if Buffer.length buf > max_line_bytes then bad "request line too long";
+      go ()
+  in
+  if not (go ()) then None
+  else
+    let line = Buffer.contents buf in
     let n = String.length line in
     if n > 0 && line.[n - 1] = '\r' then Some (String.sub line 0 (n - 1))
     else Some line

@@ -1,6 +1,7 @@
-(* Tests for the static-analysis subsystem: the dataflow solver, the
-   uniformity analysis, each verifier checker against a deliberately
-   broken kernel, the compile-time verifier gate, and the
+(* Tests for the static-analysis subsystem: the dataflow solver (via
+   Sass.Liveness, one of its domains), the uniformity analysis, each
+   verifier checker against a deliberately broken kernel, the
+   compile-time verifier gate, and the
    instrumentation cost model (static exactness + dynamic validation
    against telemetry handler counters). *)
 
@@ -24,7 +25,7 @@ let count_kind fs kind =
 (* --- Regset --- *)
 
 let test_regset () =
-  let open Analysis.Regset in
+  let open Sass.Regset in
   check bool "empty mem" false (mem 0 empty);
   check bool "full mem" true (mem 255 full);
   check int "full card" 256 (cardinal full);
@@ -41,28 +42,72 @@ let test_regset () =
   check bool "inter" true (equal (inter s t) t);
   check bool "inter empty" true (equal (inter s (of_list [ 7 ])) empty)
 
-(* --- Dataflow solver: a gen/kill liveness domain must agree with the
-       dedicated Sass.Liveness implementation. --- *)
+(* --- Dataflow solver: Sass.Liveness, a domain of it, must agree at
+       every PC with a naive per-PC fixpoint over
+       Cfg.instr_successors: live-out = union of the successors'
+       live-in; live-in = uses + (live-out - unguarded defs). --- *)
 
-module LiveDom = struct
-  type t = Analysis.Regset.t
+module IS = Set.Make (Int)
 
-  let equal = Analysis.Regset.equal
-  let join = Analysis.Regset.union
+let naive_liveness instrs =
+  let n = Array.length instrs in
+  let none = (IS.empty, IS.empty) in
+  let live_in = Array.make n none and live_out = Array.make n none in
+  let indices f l = IS.of_list (List.map f l) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for pc = n - 1 downto 0 do
+      let i = instrs.(pc) in
+      let out_r, out_p =
+        List.fold_left
+          (fun (r, p) s ->
+             let r', p' = live_in.(s) in
+             (IS.union r r', IS.union p p'))
+          none (Cfg.instr_successors instrs pc)
+      in
+      let kill_r, kill_p =
+        if Pred.is_always i.Instr.guard then
+          (indices Reg.index (Instr.defs i), indices Pred.index (Instr.pdefs i))
+        else none
+      in
+      let in_r =
+        IS.union (indices Reg.index (Instr.uses i)) (IS.diff out_r kill_r)
+      and in_p =
+        IS.union (indices Pred.index (Instr.puses i)) (IS.diff out_p kill_p)
+      in
+      live_out.(pc) <- (out_r, out_p);
+      let old_r, old_p = live_in.(pc) in
+      if not (IS.equal in_r old_r && IS.equal in_p old_p) then begin
+        live_in.(pc) <- (in_r, in_p);
+        changed := true
+      end
+    done
+  done;
+  (live_in, live_out)
 
-  let widen = join
-
-  let transfer ~pc:_ (i : Instr.t) out =
-    let open Analysis.Regset in
-    let killed =
-      if Pred.is_always i.Instr.guard then
-        List.fold_left (fun s r -> remove (Reg.index r) s) out (Instr.defs i)
-      else out
-    in
-    List.fold_left (fun s r -> add (Reg.index r) s) killed (Instr.uses i)
-end
-
-module LiveSolver = Analysis.Dataflow.Make (LiveDom)
+let liveness_matches_naive ~name instrs =
+  let live = Liveness.analyze instrs in
+  let live_in, live_out = naive_liveness instrs in
+  (* Liveness reports GPRs without RZ and predicates P0-P6 (no PT). *)
+  let gprs (r, _) = IS.elements (IS.remove (Reg.index Reg.RZ) r) in
+  let preds (_, p) = IS.elements (IS.remove (Pred.index Pred.PT) p) in
+  Array.iteri
+    (fun pc _ ->
+       let same what expected got =
+         check (Alcotest.list int)
+           (Printf.sprintf "%s: %s pc %d" name what pc)
+           expected got
+       in
+       same "gprs before" (gprs live_in.(pc))
+         (List.map Reg.index (Liveness.live_gprs_before live pc));
+       same "gprs after" (gprs live_out.(pc))
+         (List.map Reg.index (Liveness.live_gprs_after live pc));
+       same "preds before" (preds live_in.(pc))
+         (List.map Pred.index (Liveness.live_preds_before live pc));
+       same "preds after" (preds live_out.(pc))
+         (List.map Pred.index (Liveness.live_preds_after live pc)))
+    instrs
 
 let diamond_instrs () =
   [| Instr.make (Opcode.ISETP (Opcode.Lt, Opcode.Signed))
@@ -75,41 +120,46 @@ let diamond_instrs () =
      Instr.make Opcode.EXIT |]
 
 let loop_instrs () =
-  (* R2 accumulates over a loop with a guarded def inside. *)
+  (* R2 is rewritten under a guard inside a loop and read after it, so
+     it stays live through the guarded def, which does not kill. *)
   [| Instr.make Opcode.MOV ~dsts:[ Reg.r 0 ] ~srcs:[ Instr.SImm 0 ];
      Instr.make Opcode.MOV ~dsts:[ Reg.r 2 ] ~srcs:[ Instr.SImm 0 ];
      Instr.make (Opcode.ISETP (Opcode.Lt, Opcode.Signed))
        ~pdsts:[ Pred.p 0 ]
        ~srcs:[ Instr.SReg (Reg.r 0); Instr.SImm 8 ];
      Instr.make Opcode.IADD ~guard:(Pred.on (Pred.p 0)) ~dsts:[ Reg.r 2 ]
-       ~srcs:[ Instr.SReg (Reg.r 2); Instr.SImm 3 ];
+       ~srcs:[ Instr.SReg (Reg.r 0); Instr.SImm 3 ];
      Instr.make Opcode.IADD ~dsts:[ Reg.r 0 ]
        ~srcs:[ Instr.SReg (Reg.r 0); Instr.SImm 1 ];
      Instr.make Opcode.BRA ~guard:(Pred.on (Pred.p 0)) ~target:2;
      Instr.make Opcode.MOV ~dsts:[ Reg.r 4 ] ~srcs:[ Instr.SReg (Reg.r 2) ];
      Instr.make Opcode.EXIT |]
 
-let solver_agrees_with_liveness instrs =
-  let cfg = Cfg.build instrs in
-  let live = Liveness.analyze instrs in
-  let r =
-    LiveSolver.solve ~direction:Analysis.Dataflow.Backward
-      ~boundary:Analysis.Regset.empty ~init:Analysis.Regset.empty instrs cfg
-  in
-  Array.iteri
-    (fun pc _ ->
-       let expected =
-         Liveness.live_gprs_before live pc
-         |> List.map Reg.index |> List.sort Int.compare
-       in
-       let got = Analysis.Regset.elements r.LiveSolver.before.(pc) in
-       check (Alcotest.list int)
-         (Printf.sprintf "live-before pc %d" pc)
-         expected got)
-    instrs
+let test_solver_diamond () =
+  liveness_matches_naive ~name:"diamond" (diamond_instrs ())
 
-let test_solver_diamond () = solver_agrees_with_liveness (diamond_instrs ())
-let test_solver_loop () = solver_agrees_with_liveness (loop_instrs ())
+let test_solver_loop () = liveness_matches_naive ~name:"loop" (loop_instrs ())
+
+let test_solver_registry () =
+  (* Every kernel the registry's default variants launch. *)
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+       let device = Gpu.Device.create () in
+       let kernels = Hashtbl.create 8 in
+       ignore
+         (Gpu.Device.on_launch device (fun l ->
+              let k = l.Gpu.State.l_kernel in
+              Hashtbl.replace kernels k.Program.name k));
+       ignore
+         (w.Workloads.Workload.run device
+            ~variant:w.Workloads.Workload.default_variant);
+       Hashtbl.iter
+         (fun name (k : Program.kernel) ->
+            liveness_matches_naive
+              ~name:(w.Workloads.Workload.name ^ "/" ^ name)
+              k.Program.instrs)
+         kernels)
+    Workloads.Registry.all
 
 (* --- Uniformity --- *)
 
@@ -860,7 +910,9 @@ let suite =
     ("analysis.dataflow",
      [ Alcotest.test_case "diamond matches liveness" `Quick
          test_solver_diamond;
-       Alcotest.test_case "loop matches liveness" `Quick test_solver_loop ]);
+       Alcotest.test_case "loop matches liveness" `Quick test_solver_loop;
+       Alcotest.test_case "registry kernels match liveness" `Slow
+         test_solver_registry ]);
     ("analysis.uniformity",
      [ Alcotest.test_case "variance propagation" `Quick test_uniformity ]);
     ("analysis.init",

@@ -92,14 +92,29 @@ let observed (r : Workloads.Workload.result) =
     r.Workloads.Workload.launches,
     Gpu.Stats.to_assoc r.Workloads.Workload.stats )
 
+(* Launches the eligibility scan forces sequential, per workload at its
+   default variant; every workload not listed has none. gaussian mixes
+   verdicts: 94 of its 141 launches fall back. *)
+let expected_fallbacks =
+  [ ("parboil/bfs", 50); ("parboil/tpacf", 1); ("parboil/mri-gridding", 1);
+    ("parboil/histo", 16); ("rodinia/bfs", 5); ("rodinia/gaussian", 94);
+    ("rodinia/streamcluster", 24); ("rodinia/lud", 47);
+    ("rodinia/backprop", 1); ("rodinia/nw", 191); ("minife/miniFE", 1) ]
+
 let test_registry_bit_identity () =
   (* Every registered workload, default variant, domains 1 vs 2 vs 4:
      output digest, summary, launch count and the full counter set
-     must match bit for bit — whether the kernels shard or fall back. *)
+     must match bit for bit — whether the kernels shard or fall back —
+     and the sequential run's fallback count must match the scan's
+     recorded verdicts. *)
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let name = w.Workloads.Workload.suite ^ "/" ^ w.Workloads.Workload.name in
-      let base, _ = run_wl name in
+      let base, fallbacks = run_wl name in
+      check Alcotest.int
+        (Printf.sprintf "%s: sharding fallbacks" name)
+        (Option.value (List.assoc_opt name expected_fallbacks) ~default:0)
+        fallbacks;
       List.iter
         (fun d ->
           let r, _ = run_wl ~domains:d name in

@@ -265,6 +265,36 @@ let test_liveness_guarded_def_not_kill () =
   check Alcotest.bool "R0 live before guarded def" true
     (List.exists (Reg.equal (Reg.r 0)) (Liveness.live_gprs_before lv 0))
 
+let test_liveness_word_boundaries () =
+  (* R63, R127 and R191 sit on 64-bit word edges: a register set packed
+     64 per OCaml int (63 bits) silently drops them, and the MOV below
+     would then be reported as a dead store. *)
+  List.iter
+    (fun n ->
+       let instrs =
+         [| Instr.make Opcode.MOV ~dsts:[ Reg.r n ] ~srcs:[ Instr.SImm 1 ];
+            Instr.make Opcode.IADD ~dsts:[ Reg.r 0 ]
+              ~srcs:[ Instr.SReg (Reg.r n); Instr.SImm 1 ];
+            Instr.make Opcode.MOV ~dsts:[ Reg.r 2 ]
+              ~srcs:[ Instr.SReg (Reg.r 0) ];
+            Instr.make Opcode.EXIT |]
+       in
+       let live = Liveness.analyze instrs in
+       check (Alcotest.list Alcotest.int)
+         (Printf.sprintf "R%d live before pc 1" n)
+         [ n ]
+         (List.map Reg.index (Liveness.live_gprs_before live 1));
+       let dead_store_at_0 =
+         Analysis.Dead_check.check ~kernel:"k" instrs (Cfg.build instrs) live
+         |> List.exists (fun (f : Analysis.Finding.t) ->
+             f.Analysis.Finding.f_kind = Analysis.Finding.Dead_store
+             && f.Analysis.Finding.f_pc = 0)
+       in
+       check Alcotest.bool
+         (Printf.sprintf "MOV R%d is not a dead store" n)
+         false dead_store_at_0)
+    [ 63; 127; 191 ]
+
 (* --- QCheck properties -------------------------------------------------- *)
 
 (* Random structured programs: sequences of arithmetic with occasional
@@ -585,4 +615,6 @@ let suite =
        Alcotest.test_case "guarded def" `Quick test_liveness_guarded_def_not_kill;
        Alcotest.test_case "pred def in loop" `Quick
          test_liveness_pred_def_in_loop;
+       Alcotest.test_case "word-boundary registers" `Quick
+         test_liveness_word_boundaries;
        qt prop_liveness_uses_live ]) ]

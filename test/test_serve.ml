@@ -29,19 +29,17 @@ let parse_raw raw =
   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
       Serve.Http.read_request ic)
 
-(* Minimal HTTP client for the daemon tests: one request, read to EOF
-   (every daemon response is Connection: close). The receive timeout
-   turns a reply that never comes into an exception, not a hung run. *)
-let http_request ?(body = "") ~meth ~path port =
+(* Minimal HTTP client for the daemon tests: send [raw] as is, then
+   read to EOF (every daemon response is Connection: close) without
+   closing the sending side. The receive timeout turns a reply that
+   never comes into an exception, not a hung run. *)
+let exchange port raw =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
-  Printf.fprintf oc
-    "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
-     Connection: close\r\n\r\n%s"
-    meth path (String.length body) body;
+  output_string oc raw;
   flush oc;
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 4096 in
@@ -71,6 +69,13 @@ let http_request ?(body = "") ~meth ~path port =
     String.sub raw i (String.length raw - i)
   in
   (code, body)
+
+let http_request ?(body = "") ~meth ~path port =
+  exchange port
+    (Printf.sprintf
+       "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+        Connection: close\r\n\r\n%s"
+       meth path (String.length body) body)
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -364,6 +369,14 @@ let test_daemon_probes_and_routing () =
       let code, _ = http_request ~meth:"GET" ~path:"/jobs/job-99" port in
       check Alcotest.int "unknown job" 404 code)
 
+let test_daemon_unterminated_line () =
+  (* One byte past the 8 KiB line cap and no newline, with the socket
+     kept open: the daemon must answer 400 instead of waiting for an
+     LF. *)
+  with_daemon (fun _d port ->
+      let code, _ = exchange port (String.make 8193 'a') in
+      check Alcotest.int "overlong unterminated line" 400 code)
+
 let poll_job_done port id =
   let rec go n =
     if n = 0 then Alcotest.fail "served job never finished";
@@ -535,5 +548,7 @@ let suite =
          test_daemon_metrics_scrape_monotonic;
        Alcotest.test_case "concurrent connections" `Quick
          test_daemon_concurrent_connections;
+       Alcotest.test_case "unterminated overlong line gets 400" `Quick
+         test_daemon_unterminated_line;
        Alcotest.test_case "HTTP shutdown" `Quick test_daemon_shutdown_via_http
      ]) ]
