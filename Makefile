@@ -69,12 +69,15 @@ ci: fmt
 	echo "ci: compare smoke + seeded-regression checks passed"
 	@# Parallel determinism: a --jobs 2 campaign must produce the same
 	@# manifest counters as --jobs 1 (the comparator ignores wall time
-	@# and argv, so any diff is a real scheduling leak).
+	@# and argv, so any diff is a real scheduling leak). Four jobs on
+	@# two workers, so at --jobs 2 some wait in the run queue.
 	@tmp=$$(mktemp -d); \
 	printf '%s\n' \
 	  '{"schema":"sassi-campaign/1","name":"ci-smoke","seed":2025,"jobs":[' \
 	  ' {"workload":"parboil/sgemm","variant":"small","kind":"inject","injections":4},' \
-	  ' {"workload":"parboil/spmv","variant":"small","kind":"run"}]}' \
+	  ' {"workload":"parboil/spmv","variant":"small","kind":"run"},' \
+	  ' {"workload":"rodinia/nn","kind":"run"},' \
+	  ' {"workload":"parboil/spmv","variant":"small","kind":"inject","injections":2}]}' \
 	  > $$tmp/campaign.json; \
 	dune exec bin/sassi_run.exe -- campaign $$tmp/campaign.json --jobs 1 \
 	  --manifest $$tmp/j1.json > /dev/null; \

@@ -596,7 +596,7 @@ let profiling (_rc : runcfg) =
        in
        let dev_exact = fresh () in
        Cupti.Activity.enable ~capacity:(1 lsl 16)
-         ~overflow:(Cupti.Activity.Deliver (Array.iter tally_one))
+         ~overflow:(Trace.Ring.Flush_callback (Array.iter tally_one))
          dev_exact
          [ Cupti.Activity.Warp ];
        let _ = w.Workloads.Workload.run dev_exact ~variant in
@@ -857,12 +857,11 @@ let parallel rc =
   in
   let json =
     Trace.Json.Obj
-      [ ("schema", Trace.Json.Str "sassi-bench-parallel/2");
+      [ ("schema", Trace.Json.Str "sassi-bench-parallel/3");
         ("jobs", Trace.Json.Int rc.jobs);
         ("seed", Trace.Json.Int rc.seed);
         ("host_domains",
          Trace.Json.Int (Domain.recommended_domain_count ()));
-        ("steals", Trace.Json.Int (Par.Pool.stats rc.pool).Par.Pool.s_steals);
         ("parts",
          Trace.Json.List
            (List.map

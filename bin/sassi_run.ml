@@ -14,8 +14,96 @@
 
 open Cmdliner
 
+(* Every instrumentation kind, by name: [install device] creates its
+   handlers and returns their pairs together with a printer for the
+   summary `run` shows after the workload. [analyze] models the pairs'
+   specs; "none" there means the stub's no-op handler, while `run -i
+   none` installs nothing. *)
 let instruments =
-  [ "none"; "opcode"; "branch"; "memdiv"; "value"; "blocks"; "trace"; "stub" ]
+  let noop =
+    [ (Sassi.Select.before [ Sassi.Select.All ] [], Sassi.Handler.noop) ]
+  in
+  [ ("none", fun _ -> (noop, ignore));
+    ( "opcode",
+      fun device ->
+        let h = Handlers.Opcode_hist.create device in
+        ( Handlers.Opcode_hist.pairs h,
+          fun () ->
+            let c = Handlers.Opcode_hist.read h in
+            Format.printf
+              "opcode histogram: mem=%d ext=%d ctrl=%d sync=%d numeric=%d \
+               tex=%d total=%d@."
+              c.Handlers.Opcode_hist.memory
+              c.Handlers.Opcode_hist.extended_memory
+              c.Handlers.Opcode_hist.control c.Handlers.Opcode_hist.sync
+              c.Handlers.Opcode_hist.numeric c.Handlers.Opcode_hist.texture
+              c.Handlers.Opcode_hist.total ) );
+    ( "branch",
+      fun device ->
+        let h = Handlers.Branch_stats.create device in
+        ( Handlers.Branch_stats.pairs h,
+          fun () ->
+            let s = Handlers.Branch_stats.summary h in
+            Format.printf
+              "branches: static %d (%d divergent), dynamic %d (%d divergent)@."
+              s.Handlers.Branch_stats.static_branches
+              s.Handlers.Branch_stats.static_divergent
+              s.Handlers.Branch_stats.dynamic_branches
+              s.Handlers.Branch_stats.dynamic_divergent ) );
+    ( "memdiv",
+      fun device ->
+        let h = Handlers.Mem_divergence.create device in
+        ( Handlers.Mem_divergence.pairs h,
+          fun () ->
+            Format.printf "unique-lines PMF:";
+            Array.iteri
+              (fun u f ->
+                 if f > 0.005 then
+                   Format.printf " %d:%.1f%%" (u + 1) (100. *. f))
+              (Handlers.Mem_divergence.pmf h);
+            Format.printf "@." ) );
+    ( "value",
+      fun device ->
+        let h = Handlers.Value_profile.create device in
+        ( Handlers.Value_profile.pairs h,
+          fun () ->
+            let s = Handlers.Value_profile.summary h in
+            Format.printf
+              "value profile: dyn const bits %.0f%%, dyn scalar %.0f%%, \
+               static const bits %.0f%%, static scalar %.0f%%@."
+              s.Handlers.Value_profile.dynamic_const_bits_pct
+              s.Handlers.Value_profile.dynamic_scalar_pct
+              s.Handlers.Value_profile.static_const_bits_pct
+              s.Handlers.Value_profile.static_scalar_pct ) );
+    ( "blocks",
+      fun device ->
+        let h = Handlers.Block_profile.create device in
+        ( Handlers.Block_profile.pairs h,
+          fun () ->
+            Format.printf "kernel entries %d, exits %d; hottest blocks:@."
+              (Handlers.Block_profile.entries h)
+              (Handlers.Block_profile.exits h);
+            List.iteri
+              (fun i b ->
+                 if i < 8 then
+                   Format.printf "  0x%08x: %d warp execs, %d thread execs@."
+                     b.Handlers.Block_profile.ins_addr
+                     b.Handlers.Block_profile.warp_execs
+                     b.Handlers.Block_profile.thread_execs)
+              (Handlers.Block_profile.blocks h) ) );
+    ( "trace",
+      fun _ ->
+        let tr = Handlers.Mem_trace.create () in
+        ( Handlers.Mem_trace.pairs tr,
+          fun () ->
+            Format.printf "traced %d global warp accesses; cache sweep:@."
+              (Handlers.Mem_trace.length tr);
+            List.iter
+              (fun res ->
+                 Format.printf "  %a@." Handlers.Cache_explorer.pp_result res)
+              (Handlers.Cache_explorer.sweep (Handlers.Mem_trace.trace tr)
+                 Handlers.Cache_explorer.default_sweep) ) );
+    ("stub", fun _ -> (noop, ignore)) ]
 
 (* "kernel,mem,warp" -> activity kinds; [Error] names the bad kind. *)
 let parse_trace_filter = function
@@ -56,6 +144,13 @@ let dump_trace device path =
 let check_positive name v =
   if v <= 0 then begin
     Format.eprintf "%s must be positive (got %d)@." name v;
+    exit 1
+  end
+
+let check_jobs jobs =
+  if jobs < 1 || jobs > Par.Pool.max_domains then begin
+    Format.eprintf "--jobs must be in 1..%d (got %d)@." Par.Pool.max_domains
+      jobs;
     exit 1
   end
 
@@ -165,112 +260,15 @@ let run_workload name variant instrument show_stats trace_out trace_filter
             ("instrument", Obs.Span.Str instrument) ]
         ("run:" ^ name)
       @@ fun () ->
-      (match instrument with
-     | "none" -> finish (w.Workloads.Workload.run device ~variant)
-     | "stub" ->
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           [ (Sassi.Select.before [ Sassi.Select.All ] [],
-              Sassi.Handler.noop) ]
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r
-     | "opcode" ->
-       let h = Handlers.Opcode_hist.create device in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Opcode_hist.pairs h)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       let c = Handlers.Opcode_hist.read h in
-       Format.printf
-         "opcode histogram: mem=%d ext=%d ctrl=%d sync=%d numeric=%d tex=%d \
-          total=%d@."
-         c.Handlers.Opcode_hist.memory c.Handlers.Opcode_hist.extended_memory
-         c.Handlers.Opcode_hist.control c.Handlers.Opcode_hist.sync
-         c.Handlers.Opcode_hist.numeric c.Handlers.Opcode_hist.texture
-         c.Handlers.Opcode_hist.total
-     | "branch" ->
-       let h = Handlers.Branch_stats.create device in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Branch_stats.pairs h)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       let s = Handlers.Branch_stats.summary h in
-       Format.printf
-         "branches: static %d (%d divergent), dynamic %d (%d divergent)@."
-         s.Handlers.Branch_stats.static_branches
-         s.Handlers.Branch_stats.static_divergent
-         s.Handlers.Branch_stats.dynamic_branches
-         s.Handlers.Branch_stats.dynamic_divergent
-     | "memdiv" ->
-       let h = Handlers.Mem_divergence.create device in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Mem_divergence.pairs h)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       let pmf = Handlers.Mem_divergence.pmf h in
-       Format.printf "unique-lines PMF:";
-       Array.iteri
-         (fun u f -> if f > 0.005 then Format.printf " %d:%.1f%%" (u + 1) (100. *. f))
-         pmf;
-       Format.printf "@."
-     | "value" ->
-       let h = Handlers.Value_profile.create device in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Value_profile.pairs h)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       let s = Handlers.Value_profile.summary h in
-       Format.printf
-         "value profile: dyn const bits %.0f%%, dyn scalar %.0f%%, static \
-          const bits %.0f%%, static scalar %.0f%%@."
-         s.Handlers.Value_profile.dynamic_const_bits_pct
-         s.Handlers.Value_profile.dynamic_scalar_pct
-         s.Handlers.Value_profile.static_const_bits_pct
-         s.Handlers.Value_profile.static_scalar_pct
-     | "blocks" ->
-       let h = Handlers.Block_profile.create device in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Block_profile.pairs h)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       Format.printf "kernel entries %d, exits %d; hottest blocks:@."
-         (Handlers.Block_profile.entries h)
-         (Handlers.Block_profile.exits h);
-       List.iteri
-         (fun i b ->
-            if i < 8 then
-              Format.printf "  0x%08x: %d warp execs, %d thread execs@."
-                b.Handlers.Block_profile.ins_addr
-                b.Handlers.Block_profile.warp_execs
-                b.Handlers.Block_profile.thread_execs)
-         (Handlers.Block_profile.blocks h)
-     | "trace" ->
-       let tr = Handlers.Mem_trace.create () in
-       let r =
-         Sassi.Runtime.with_instrumentation device
-           (Handlers.Mem_trace.pairs tr)
-           (fun _ -> w.Workloads.Workload.run device ~variant)
-       in
-       finish r;
-       Format.printf "traced %d global warp accesses; cache sweep:@."
-         (Handlers.Mem_trace.length tr);
-       List.iter
-         (fun res -> Format.printf "  %a@." Handlers.Cache_explorer.pp_result res)
-         (Handlers.Cache_explorer.sweep (Handlers.Mem_trace.trace tr)
-            Handlers.Cache_explorer.default_sweep)
-     | other ->
-       Format.eprintf "unknown instrumentation %s@." other)
+      if instrument = "none" then
+        finish (w.Workloads.Workload.run device ~variant)
+      else begin
+        let pairs, summary = List.assoc instrument instruments device in
+        finish
+          (Sassi.Runtime.with_instrumentation device pairs (fun _ ->
+               w.Workloads.Workload.run device ~variant));
+        summary ()
+      end
     in
     (match trace_out with
      | Some path -> dump_trace device path
@@ -413,11 +411,7 @@ let campaign target variant injections seed jobs manifest_out host_trace
   (* Campaign devices are created inside pool tasks on worker domains;
      the process-wide default is how the setting reaches them. *)
   Gpu.Device.set_default_domains device_domains;
-  if jobs < 1 || jobs > Par.Pool.max_domains then begin
-    Format.eprintf "--jobs must be in 1..%d (got %d)@." Par.Pool.max_domains
-      jobs;
-    exit 1
-  end;
+  check_jobs jobs;
   (* The positional argument is either a campaign job-manifest file
      (sassi-campaign/1 JSON, see Par.Campaign) or a registry workload
      name; a lone workload becomes a one-job Inject campaign with the
@@ -450,17 +444,11 @@ let campaign target variant injections seed jobs manifest_out host_trace
     Par.Pool.with_pool ~domains:jobs @@ fun pool ->
     let meter = Obs.Progress.create ~enabled:progress ~total:njobs () in
     let on_result i r =
-      let s = Par.Pool.stats pool in
       (* Counter samples ride the trace timeline (one point per joined
-         job), never the manifest: queue depth and steal counts are
-         scheduling-dependent. *)
+         job), never the manifest: queue depth is scheduling-dependent. *)
       Obs.Tracer.counter ~cat:"pool" "pool"
-        [ ("queued", float_of_int s.Par.Pool.s_queued);
-          ("steals", float_of_int s.Par.Pool.s_steals) ];
-      if Obs.Progress.active meter then
-        Obs.Progress.step
-          ~tail:(Printf.sprintf "%d steal(s)" s.Par.Pool.s_steals)
-          meter
+        [ ("queued", float_of_int (Par.Pool.stats pool).Par.Pool.s_queued) ];
+      if Obs.Progress.active meter then Obs.Progress.step meter
       else begin
         let j = List.nth camp.Par.Campaign.c_jobs i in
         match r with
@@ -510,9 +498,8 @@ let campaign target variant injections seed jobs manifest_out host_trace
         outcome.Serve.Runner.o_wall_time_s;
       let pool_stats = Par.Pool.stats pool in
       if jobs > 1 then
-        Format.printf "pool: %d task(s), %d steal(s) on %d domain(s)@."
-          pool_stats.Par.Pool.s_tasks pool_stats.Par.Pool.s_steals
-          pool_stats.Par.Pool.s_size;
+        Format.printf "pool: %d task(s) on %d domain(s)@."
+          pool_stats.Par.Pool.s_tasks pool_stats.Par.Pool.s_size;
       (match manifest_out with
        | None -> ()
        | Some path ->
@@ -538,11 +525,7 @@ let campaign target variant injections seed jobs manifest_out host_trace
 let serve port host jobs feed_capacity no_cache cache_bytes device_domains =
   check_positive "--device-domains" device_domains;
   Gpu.Device.set_default_domains device_domains;
-  if jobs < 1 || jobs > Par.Pool.max_domains then begin
-    Format.eprintf "--jobs must be in 1..%d (got %d)@." Par.Pool.max_domains
-      jobs;
-    exit 1
-  end;
+  check_jobs jobs;
   check_positive "--feed-capacity" feed_capacity;
   check_positive "--cache-bytes" cache_bytes;
   let cfg =
@@ -1056,25 +1039,6 @@ let lint name variant json prove_races mem_report baseline_file
         !total_warn;
     if !total_err > 0 || regressions <> [] then 1 else 0
 
-(* Handler pairs for an instrumentation kind; the specs drive the
-   static cost model, the handlers the validation run. *)
-let pairs_for device = function
-  | "none" | "stub" ->
-    [ (Sassi.Select.before [ Sassi.Select.All ] [], Sassi.Handler.noop) ]
-  | "opcode" -> Handlers.Opcode_hist.pairs (Handlers.Opcode_hist.create device)
-  | "branch" ->
-    Handlers.Branch_stats.pairs (Handlers.Branch_stats.create device)
-  | "memdiv" ->
-    Handlers.Mem_divergence.pairs (Handlers.Mem_divergence.create device)
-  | "value" ->
-    Handlers.Value_profile.pairs (Handlers.Value_profile.create device)
-  | "blocks" ->
-    Handlers.Block_profile.pairs (Handlers.Block_profile.create device)
-  | "trace" -> Handlers.Mem_trace.pairs (Handlers.Mem_trace.create ())
-  | other ->
-    Format.eprintf "unknown instrumentation %s@." other;
-    exit 1
-
 let analyze name variant instrument json dump_cfg dump_live validate =
   match Workloads.Registry.find_opt name with
   | None ->
@@ -1087,7 +1051,8 @@ let analyze name variant instrument json dump_cfg dump_live validate =
       | None -> w.Workloads.Workload.default_variant
     in
     let kernels, _, baseline = capture_kernels w variant in
-    let specs = List.map fst (pairs_for (Gpu.Device.create ()) instrument) in
+    let install = List.assoc instrument instruments in
+    let specs = List.map fst (fst (install (Gpu.Device.create ()))) in
     let costs =
       List.map
         (fun (kname, k) -> (kname, k, Analysis.Cost.analyze ~specs k))
@@ -1152,7 +1117,7 @@ let analyze name variant instrument json dump_cfg dump_live validate =
       else begin
         let device = Gpu.Device.create () in
         let tele = Cupti.Telemetry.enable device in
-        let pairs = pairs_for device instrument in
+        let pairs, _ = install device in
         let r2, per_kernel =
           Sassi.Runtime.with_instrumentation device pairs (fun rt ->
               let r = w.Workloads.Workload.run device ~variant in
@@ -1220,10 +1185,13 @@ let variant_arg =
   Arg.(value & opt (some string) None
        & info [ "v"; "variant" ] ~docv:"VARIANT" ~doc:"Dataset variant.")
 
+let instrument_enum = Arg.enum (List.map (fun (k, _) -> (k, k)) instruments)
+
 let instrument_arg =
-  Arg.(value & opt (enum (List.map (fun s -> (s, s)) instruments)) "none"
+  Arg.(value & opt instrument_enum "none"
        & info [ "i"; "instrument" ] ~docv:"KIND"
-           ~doc:"Instrumentation: none, opcode, branch, memdiv, value, blocks, trace, stub.")
+           ~doc:("Instrumentation: "
+                 ^ String.concat ", " (List.map fst instruments) ^ "."))
 
 let stats_arg =
   Arg.(value & flag & info [ "s"; "stats" ] ~doc:"Print machine statistics.")
@@ -1408,9 +1376,9 @@ let campaign_manifest_arg =
 let host_metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "host-metrics" ] ~docv:"FILE"
-           ~doc:"Write the domain pool's introspection metrics (task, \
-                 steal and idle-wake counters, queue depths; aggregate \
-                 and per-worker) to $(docv): JSON when $(docv) ends in \
+           ~doc:"Write the domain pool's introspection metrics (task \
+                 and idle-wake counters, queue depth, per-worker task \
+                 counts) to $(docv): JSON when $(docv) ends in \
                  .json, Prometheus text exposition otherwise. These \
                  values are scheduling-dependent, so they live here, \
                  never in the $(b,--manifest) counters.")
@@ -1419,8 +1387,8 @@ let progress_arg =
   Arg.(value & flag
        & info [ "progress" ]
            ~doc:"Redraw a live one-line meter on stderr as jobs finish: \
-                 done/total, throughput, ETA, steal count. Auto-disabled \
-                 when stderr is not a terminal, so redirected runs stay \
+                 done/total, throughput, ETA. Auto-disabled when stderr \
+                 is not a terminal, so redirected runs stay \
                  byte-identical.")
 
 let campaign_cmd =
@@ -1596,7 +1564,7 @@ let validate_arg =
                  the telemetry handler-overhead counters).")
 
 let analyze_instrument_arg =
-  Arg.(value & opt (enum (List.map (fun s -> (s, s)) instruments)) "stub"
+  Arg.(value & opt instrument_enum "stub"
        & info [ "i"; "instrument" ] ~docv:"KIND"
            ~doc:"Instrumentation whose cost to model (default stub: a \
                  no-op handler before every instruction).")

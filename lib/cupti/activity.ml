@@ -1,4 +1,4 @@
-type kind =
+type kind = Trace.Record.category =
   | Kernel
   | Block
   | Warp
@@ -7,42 +7,15 @@ type kind =
   | Handler
   | Fault
 
-let all_kinds = [ Kernel; Block; Warp; Mem; Cache; Handler; Fault ]
+let all_kinds = Trace.Record.all_categories
 
-let category = function
-  | Kernel -> Trace.Record.Kernel
-  | Block -> Trace.Record.Block
-  | Warp -> Trace.Record.Warp
-  | Mem -> Trace.Record.Mem
-  | Cache -> Trace.Record.Cache
-  | Handler -> Trace.Record.Handler
-  | Fault -> Trace.Record.Fault
+let kind_of_string = Trace.Record.category_of_string
 
-let kind_of_string s =
-  match Trace.Record.category_of_string s with
-  | Some Trace.Record.Kernel -> Some Kernel
-  | Some Trace.Record.Block -> Some Block
-  | Some Trace.Record.Warp -> Some Warp
-  | Some Trace.Record.Mem -> Some Mem
-  | Some Trace.Record.Cache -> Some Cache
-  | Some Trace.Record.Handler -> Some Handler
-  | Some Trace.Record.Fault -> Some Fault
-  | None -> None
-
-type overflow =
-  | Drop_oldest
-  | Drop_newest
-  | Deliver of (Trace.Record.t array -> unit)
-
-let enable ?(capacity = 262144) ?(overflow = Drop_oldest) device kinds =
-  let policy =
-    match overflow with
-    | Drop_oldest -> Trace.Ring.Drop_oldest
-    | Drop_newest -> Trace.Ring.Drop_newest
-    | Deliver f -> Trace.Ring.Flush_callback f
+let enable ?(capacity = 262144) ?(overflow = Trace.Ring.Drop_oldest) device
+    kinds =
+  let c =
+    Trace.Collector.create ~capacity ~policy:overflow ~categories:kinds ()
   in
-  let categories = List.map category kinds in
-  let c = Trace.Collector.create ~capacity ~policy ~categories () in
   Gpu.Device.set_tracer device (Some c)
 
 let enable_all ?capacity ?overflow device =

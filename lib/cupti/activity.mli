@@ -8,7 +8,7 @@
     then [flush] ([cuptiActivityFlushAll]) to drain resident records.
     Record storage and analysis live in the {!Trace} library. *)
 
-type kind =
+type kind = Trace.Record.category =
   | Kernel  (** CUPTI_ACTIVITY_KIND_KERNEL *)
   | Block  (** thread-block dispatch *)
   | Warp  (** warp issue / stall / barrier *)
@@ -20,23 +20,25 @@ type kind =
 val all_kinds : kind list
 
 val kind_of_string : string -> kind option
-
-val category : kind -> Trace.Record.category
-
-type overflow =
-  | Drop_oldest
-  | Drop_newest
-  | Deliver of (Trace.Record.t array -> unit)
-      (** buffer-completed callback: on overflow the full buffer is
-          delivered (oldest first) and emptied *)
+(** {!Trace.Record.category_of_string}. *)
 
 val enable :
-  ?capacity:int -> ?overflow:overflow -> Gpu.Device.t -> kind list -> unit
+  ?capacity:int ->
+  ?overflow:Trace.Record.t Trace.Ring.overflow ->
+  Gpu.Device.t ->
+  kind list ->
+  unit
 (** Install a fresh collector for the given kinds (replacing any
     previous one). Default [capacity] 262144 records, default
-    [overflow] [Drop_oldest]. *)
+    [overflow] [Drop_oldest]; [Flush_callback] is the
+    buffer-completed callback: on overflow the full buffer is
+    delivered (oldest first) and emptied. *)
 
-val enable_all : ?capacity:int -> ?overflow:overflow -> Gpu.Device.t -> unit
+val enable_all :
+  ?capacity:int ->
+  ?overflow:Trace.Record.t Trace.Ring.overflow ->
+  Gpu.Device.t ->
+  unit
 
 val disable : Gpu.Device.t -> unit
 (** Remove the collector; resident records are discarded, emission
@@ -55,6 +57,6 @@ val dropped : Gpu.Device.t -> int
 (** Records lost to the overflow policy since [enable]. *)
 
 val delivered : Gpu.Device.t -> int
-(** Records handed to the [Deliver] callback since [enable]. *)
+(** Records handed to the [Flush_callback] since [enable]. *)
 
 val collector : Gpu.Device.t -> Trace.Collector.t option

@@ -29,7 +29,7 @@ let draw t line =
   t.p_last_len <- String.length line;
   flush t.p_out
 
-let step ?(tail = "") t =
+let step t =
   if t.p_active then begin
     t.p_done <- min t.p_total (t.p_done + 1);
     let elapsed = max 1e-9 (Clock.now_s () -. t.p_t0) in
@@ -39,12 +39,10 @@ let step ?(tail = "") t =
       else float_of_int (t.p_total - t.p_done) /. max 1e-9 rate
     in
     let line =
-      Printf.sprintf "[%d/%d] %3.0f%% | %.2f jobs/s | eta %.0fs%s%s"
+      Printf.sprintf "[%d/%d] %3.0f%% | %.2f jobs/s | eta %.0fs"
         t.p_done t.p_total
         (100.0 *. float_of_int t.p_done /. float_of_int t.p_total)
         rate eta
-        (if tail = "" then "" else " | ")
-        tail
     in
     draw t line
   end

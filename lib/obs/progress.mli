@@ -1,6 +1,5 @@
 (** A one-line live progress meter for long campaigns: jobs done /
-    total, throughput, ETA, plus a caller-supplied tail (e.g. the
-    pool's steal count), redrawn in place with carriage returns.
+    total, throughput, ETA, redrawn in place with carriage returns.
 
     The meter only ever draws when [enabled] was requested {e and} the
     sink is an interactive terminal: piping stderr to a file, or any
@@ -18,7 +17,7 @@ val create :
 
 val active : t -> bool
 
-val step : ?tail:string -> t -> unit
+val step : t -> unit
 (** Mark one more job done and redraw. *)
 
 val finish : t -> unit

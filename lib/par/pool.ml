@@ -1,9 +1,11 @@
-(* Domain pool with one work-stealing deque per worker.
+(* Domain pool with one FIFO run queue.
 
-   Placement: external submissions round-robin across the worker
-   deques; a worker that drains its own deque steals from the others
-   (oldest task first), so an uneven matrix — one slow fault-injection
-   campaign next to thirty fast cells — still keeps every domain busy.
+   Placement: every submission joins one queue under the pool's mutex,
+   and an idle worker takes the oldest task, so tasks start in
+   submission order and [iter_ordered] can hand on result [i] as soon
+   as tasks [0..i] finish. Tasks are whole simulations (milliseconds to
+   seconds) that never spawn subtasks, so one lock per task costs
+   nothing measurable.
 
    Determinism contract: the pool never reorders *results*. Futures
    are awaited by the submitter, and [map_ordered]/[iter_ordered]
@@ -15,12 +17,12 @@
    task inline at submission: `--jobs 1` *is* the sequential baseline,
    not a one-worker approximation of it.
 
-   Introspection: every worker keeps its own task/steal/idle counters
+   Introspection: every worker keeps its own task/idle counters
    (plain per-worker atomics, no shared cache line contention on the
-   hot path); [stats] snapshots them together with the live queue
-   depths, and [register_telemetry] exposes the same numbers through
-   the standard registry so the Prometheus/JSON exporters pick them
-   up unchanged. Workers also claim host-trace track [i + 1] at spawn,
+   hot path); [stats] snapshots them together with the queue depth,
+   and [register_telemetry] exposes the same numbers through the
+   standard registry so the Prometheus/JSON exporters pick them up
+   unchanged. Workers also claim host-trace track [i + 1] at spawn,
    so an [Obs.Tracer]-traced campaign renders one timeline row per
    domain. *)
 
@@ -41,54 +43,45 @@ type task = unit -> unit
    for the calling domain so [stats] has one shape everywhere. *)
 type worker_counters = {
   wc_tasks : int Atomic.t;
-  wc_steals : int Atomic.t;
   wc_idle_wakes : int Atomic.t;
 }
 
 type t = {
-  deques : task Deque.t array;  (* one per worker; [||] when inline *)
-  counters : worker_counters array;  (* length [max 1 domains] *)
+  queue : task Queue.t;         (* empty forever when inline *)
+  counters : worker_counters array;  (* length [domains] *)
   mutable domains : unit Domain.t array;
-  lock : Mutex.t;               (* guards [stopped] and the sleep cond *)
+  lock : Mutex.t;               (* guards [queue] and [stopped] *)
   cond : Condition.t;           (* signaled on submit and shutdown *)
   mutable stopped : bool;
-  rr : int Atomic.t;            (* round-robin placement cursor *)
 }
 
 type worker_stats = {
   ws_tasks : int;
-  ws_steals : int;
   ws_idle_wakes : int;
-  ws_queue_depth : int;
 }
 
 type stats = {
   s_size : int;
   s_tasks : int;
-  s_steals : int;
   s_queued : int;
   s_workers : worker_stats array;
 }
 
-let size t = max 1 (Array.length t.deques)
+let size t = Array.length t.counters
 
-let inline_pool t = Array.length t.deques = 0
+let inline_pool t = size t = 1
 
 let stats t =
   let workers =
-    Array.mapi
-      (fun i wc ->
+    Array.map
+      (fun wc ->
          { ws_tasks = Atomic.get wc.wc_tasks;
-           ws_steals = Atomic.get wc.wc_steals;
-           ws_idle_wakes = Atomic.get wc.wc_idle_wakes;
-           ws_queue_depth =
-             (if inline_pool t then 0 else Deque.length t.deques.(i)) })
+           ws_idle_wakes = Atomic.get wc.wc_idle_wakes })
       t.counters
   in
   { s_size = size t;
     s_tasks = Array.fold_left (fun a w -> a + w.ws_tasks) 0 workers;
-    s_steals = Array.fold_left (fun a w -> a + w.ws_steals) 0 workers;
-    s_queued = Array.fold_left (fun a w -> a + w.ws_queue_depth) 0 workers;
+    s_queued = Mutex.protect t.lock (fun () -> Queue.length t.queue);
     s_workers = workers }
 
 let register_telemetry t reg =
@@ -96,30 +89,21 @@ let register_telemetry t reg =
   register reg ~help:"Tasks executed by the domain pool"
     "sassi_pool_tasks_total"
     (Counter (fun () -> (stats t).s_tasks));
-  register reg ~help:"Successful steals between worker deques"
-    "sassi_pool_steals_total"
-    (Counter (fun () -> (stats t).s_steals));
   register reg ~help:"Times a worker woke from the idle wait"
     "sassi_pool_idle_wakes_total"
     (Counter
        (fun () ->
           Array.fold_left (fun a w -> a + w.ws_idle_wakes) 0
             (stats t).s_workers));
-  register reg ~help:"Tasks currently queued across all deques"
+  register reg ~help:"Tasks waiting in the run queue"
     "sassi_pool_queue_depth"
     (Gauge (fun () -> float_of_int (stats t).s_queued));
   Array.iteri
     (fun i _ ->
-       let labels = [ ("worker", string_of_int i) ] in
-       register reg ~labels ~help:"Tasks executed by one worker"
+       register reg ~labels:[ ("worker", string_of_int i) ]
+         ~help:"Tasks executed by one worker"
          "sassi_pool_worker_tasks_total"
-         (Counter (fun () -> (stats t).s_workers.(i).ws_tasks));
-       register reg ~labels ~help:"Steals performed by one worker"
-         "sassi_pool_worker_steals_total"
-         (Counter (fun () -> (stats t).s_workers.(i).ws_steals));
-       register reg ~labels ~help:"Queued tasks on one worker's deque"
-         "sassi_pool_worker_queue_depth"
-         (Gauge (fun () -> float_of_int (stats t).s_workers.(i).ws_queue_depth)))
+         (Counter (fun () -> (stats t).s_workers.(i).ws_tasks)))
     t.counters
 
 (* ---------- futures ---------- *)
@@ -156,55 +140,26 @@ let run_into fut f =
 
 (* ---------- workers ---------- *)
 
-let try_steal t ~self =
-  let n = Array.length t.deques in
-  let rec go k =
-    if k >= n then None
-    else
-      match Deque.steal t.deques.((self + k) mod n) with
-      | Some task ->
-        Atomic.incr t.counters.(self).wc_steals;
-        Some task
-      | None -> go (k + 1)
-  in
-  go 1
-
-let has_work t = Array.exists (fun d -> not (Deque.is_empty d)) t.deques
-
 let worker t self =
   Obs.Tracer.set_track (self + 1);
-  let run task =
-    Atomic.incr t.counters.(self).wc_tasks;
-    task ()
+  (* The oldest queued task, or [None] once the pool is stopped and
+     the queue drained; sleeps while there is nothing to do. *)
+  let rec next () =
+    match Queue.take_opt t.queue with
+    | Some _ as task -> task
+    | None when t.stopped -> None
+    | None ->
+      Condition.wait t.cond t.lock;
+      Atomic.incr t.counters.(self).wc_idle_wakes;
+      next ()
   in
   let rec loop () =
-    match Deque.pop_bottom t.deques.(self) with
+    match Mutex.protect t.lock next with
+    | None -> ()
     | Some task ->
-      run task;
+      Atomic.incr t.counters.(self).wc_tasks;
+      task ();
       loop ()
-    | None ->
-      (match try_steal t ~self with
-       | Some task ->
-         run task;
-         loop ()
-       | None ->
-         (* Out of work everywhere: sleep until a submit or shutdown.
-            The re-check under [lock] closes the race with a submitter
-            that pushed between our last scan and the wait. *)
-         Mutex.lock t.lock;
-         let rec idle () =
-           if has_work t then begin
-             Mutex.unlock t.lock;
-             loop ()
-           end
-           else if t.stopped then Mutex.unlock t.lock (* drained: exit *)
-           else begin
-             Condition.wait t.cond t.lock;
-             Atomic.incr t.counters.(self).wc_idle_wakes;
-             idle ()
-           end
-         in
-         idle ())
   in
   loop ()
 
@@ -218,19 +173,14 @@ let create ?(domains = 2) () =
       (Printf.sprintf "Pool.create: domains must be in [1, %d] (got %d)"
          max_domains domains);
   let t =
-    { deques =
-        (if domains <= 1 then [||]
-         else Array.init domains (fun _ -> Deque.create ()));
+    { queue = Queue.create ();
       counters =
-        Array.init (max 1 domains) (fun _ ->
-            { wc_tasks = Atomic.make 0;
-              wc_steals = Atomic.make 0;
-              wc_idle_wakes = Atomic.make 0 });
+        Array.init domains (fun _ ->
+            { wc_tasks = Atomic.make 0; wc_idle_wakes = Atomic.make 0 });
       domains = [||];
       lock = Mutex.create ();
       cond = Condition.create ();
-      stopped = false;
-      rr = Atomic.make 0 }
+      stopped = false }
   in
   if domains > 1 then
     t.domains <- Array.init domains (fun i -> Domain.spawn (fun () -> worker t i));
@@ -239,34 +189,19 @@ let create ?(domains = 2) () =
 let check_running t =
   if t.stopped then invalid_arg "Pool: submitted to a stopped pool"
 
-let submit_on t ~worker:w f =
-  check_running t;
+let submit t f =
   let fut = make_future () in
   if inline_pool t then begin
+    check_running t;
     Atomic.incr t.counters.(0).wc_tasks;
     run_into fut f
   end
-  else begin
-    let n = Array.length t.deques in
-    if w < 0 || w >= n then invalid_arg "Pool.submit_on: no such worker";
-    Deque.push_bottom t.deques.(w) (fun () -> run_into fut f);
-    Mutex.lock t.lock;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock
-  end;
-  fut
-
-let submit t f =
-  check_running t;
-  if inline_pool t then begin
-    let fut = make_future () in
-    Atomic.incr t.counters.(0).wc_tasks;
-    run_into fut f;
-    fut
-  end
   else
-    let w = Atomic.fetch_and_add t.rr 1 mod Array.length t.deques in
-    submit_on t ~worker:w f
+    Mutex.protect t.lock (fun () ->
+        check_running t;
+        Queue.push (fun () -> run_into fut f) t.queue;
+        Condition.signal t.cond);
+  fut
 
 let shutdown t =
   Mutex.lock t.lock;

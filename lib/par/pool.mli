@@ -1,5 +1,5 @@
-(** Domain pool executing independent simulation tasks on a
-    work-stealing scheduler (one {!Deque} per worker).
+(** Domain pool executing independent simulation tasks from one FIFO
+    run queue: tasks start in submission order.
 
     Determinism contract: results are always joined in task-index
     order — {!map_ordered} and {!iter_ordered} observe task [i]'s
@@ -10,8 +10,8 @@
     from inside a pool task: a task that blocks on another queued task
     can deadlock the pool. Fan out, then join.
 
-    Introspection: {!stats} snapshots per-worker task/steal/idle
-    counters and live queue depths; {!register_telemetry} exposes the
+    Introspection: {!stats} snapshots per-worker task/idle counters
+    and the live queue depth; {!register_telemetry} exposes the
     same numbers through a {!Telemetry.Registry} so the standard
     Prometheus/JSON exporters serve them unchanged. Workers claim
     host-trace track [worker_index + 1] ({!Obs.Tracer.set_track}) at
@@ -34,13 +34,9 @@ val size : t -> int
 (** Number of task executors (1 for an inline pool). *)
 
 val submit : t -> (unit -> 'a) -> 'a future
-(** Schedule a task (round-robin placement).
+(** Queue a task behind every earlier one; the next idle worker
+    starts it.
     @raise Invalid_argument after {!shutdown}. *)
-
-val submit_on : t -> worker:int -> (unit -> 'a) -> 'a future
-(** Schedule onto one specific worker's deque — placement control for
-    tests (forcing steals) and for pinning task islands. On an inline
-    pool the worker index is ignored. *)
 
 val await : 'a future -> 'a
 (** Block until the task finishes. Re-raises, with its original
@@ -66,16 +62,13 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 
 type worker_stats = {
   ws_tasks : int;  (** tasks this worker executed *)
-  ws_steals : int;  (** successful steals this worker performed *)
   ws_idle_wakes : int;  (** wake-ups from the idle wait *)
-  ws_queue_depth : int;  (** tasks queued on its deque right now *)
 }
 
 type stats = {
   s_size : int;  (** task executors (= {!size}) *)
   s_tasks : int;  (** tasks executed, all workers *)
-  s_steals : int;  (** successful steals, all workers *)
-  s_queued : int;  (** tasks currently queued, all deques *)
+  s_queued : int;  (** tasks waiting in the run queue *)
   s_workers : worker_stats array;  (** per-worker breakdown *)
 }
 
@@ -84,6 +77,6 @@ val stats : t -> stats
     atomically, the record as a whole is not (workers keep running). *)
 
 val register_telemetry : t -> Telemetry.Registry.t -> unit
-(** Register the pool's counters and queue-depth gauges (aggregate and
-    per-worker, labeled [worker="i"]) so {!Telemetry.Export} serves
-    them alongside every other metric. *)
+(** Register the pool's task and idle-wake counters, its queue-depth
+    gauge and per-worker task counters (labeled [worker="i"]) so
+    {!Telemetry.Export} serves them alongside every other metric. *)

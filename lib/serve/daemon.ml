@@ -341,10 +341,20 @@ let access_log t ~req ~code ~bytes ~duration_us =
         output_char ch '\n';
         flush ch)
 
+(* Bounds how long a handler thread waits for each receive from its
+   peer. A read that times out raises [Sys_blocked_io] (EAGAIN), and a
+   client that stalls mid-request is closed like one that went away.
+   Well above curl's 1 s wait before it sends a body without a 100
+   Continue. *)
+let read_timeout_s = 5.0
+
 let handle_connection t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  (match Http.read_request ic with
+  (match
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s;
+     Http.read_request ic
+   with
    | None -> ()
    | Some req ->
      Metrics.request_begin t.mtr;
@@ -372,7 +382,9 @@ let handle_connection t fd =
      access_log t ~req ~code ~bytes ~duration_us
    | exception Http.Bad_request msg ->
      (try ignore (Http.error_json ~code:400 oc msg) with _ -> ())
-   | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) -> ());
+   | exception
+       (Sys_error _ | Sys_blocked_io | Unix.Unix_error _ | End_of_file) ->
+     ());
   (* [ic] and [oc] share [fd]: close it exactly once, or a descriptor
      accepted in between is closed under its new owner. The _noerr
      form still closes when the final flush fails on a client that

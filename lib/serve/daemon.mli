@@ -38,6 +38,11 @@ type config = {
 
 val default_config : config
 
+val read_timeout_s : float
+(** Receive timeout, in seconds, on every accepted connection: a peer
+    that sends nothing for this long mid-request is disconnected
+    without a reply. *)
+
 type t
 
 val create : config -> t

@@ -2,7 +2,8 @@
    loadable Chrome trace, 1 for a shape problem (valid JSON that is
    not a trace), 2 for a parse failure. The Makefile's host-trace gate
    and external wrappers key off exactly these codes, so a renumbering
-   must fail loudly here. *)
+   must fail loudly here. The same holds for `lint`, and `run -i` is
+   driven once per instrumentation kind. *)
 
 let check = Alcotest.check
 
@@ -111,6 +112,52 @@ let test_lint_exit_2_usage () =
   check Alcotest.int "missing baseline file" 2
     (lint_exit [ "parboil/sgemm"; "--race-baseline"; "/nonexistent/b.json" ])
 
+(* `sassi_run run -i KIND` for every kind: exit 0, the output digest,
+   and exactly the kind's own summary line ("none" and "stub" print
+   none of them). *)
+
+let summary_lines =
+  [ ("opcode", "opcode histogram:");
+    ("branch", "branches:");
+    ("memdiv", "unique-lines PMF:");
+    ("value", "value profile:");
+    ("blocks", "kernel entries");
+    ("trace", "traced [0-9]+ global warp accesses") ]
+
+let test_run_instrumented () =
+  List.iter
+    (fun kind ->
+       let out = Filename.temp_file "sassi_cli_run" ".txt" in
+       Fun.protect
+         ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+         (fun () ->
+            check Alcotest.int (kind ^ ": exit") 0
+              (Sys.command
+                 (Filename.quote_command exe ~stdout:out
+                    ~stderr:Filename.null
+                    [ "run"; "parboil/spmv"; "--variant"; "small"; "-i";
+                      kind ]));
+            let text = In_channel.with_open_bin out In_channel.input_all in
+            let has re =
+              try
+                ignore (Str.search_forward (Str.regexp ("^" ^ re)) text 0);
+                true
+              with Not_found -> false
+            in
+            check Alcotest.bool (kind ^ ": output digest") true
+              (has "output digest: ");
+            check
+              Alcotest.(list string)
+              (kind ^ ": summary lines")
+              (List.filter_map
+                 (fun (k, re) -> if k = kind then Some re else None)
+                 summary_lines)
+              (List.filter_map
+                 (fun (_, re) -> if has re then Some re else None)
+                 summary_lines)))
+    [ "none"; "opcode"; "branch"; "memdiv"; "value"; "blocks"; "trace";
+      "stub" ]
+
 let suite =
   [ ("cli.trace-summary",
      [ Alcotest.test_case "exit 0 on loadable trace" `Quick
@@ -125,4 +172,7 @@ let suite =
        Alcotest.test_case "exit 1 on baseline regression" `Slow
          test_lint_exit_1_regression;
        Alcotest.test_case "exit 2 on usage errors" `Quick
-         test_lint_exit_2_usage ]) ]
+         test_lint_exit_2_usage ]);
+    ("cli.run",
+     [ Alcotest.test_case "every instrument kind" `Quick
+         test_run_instrumented ]) ]

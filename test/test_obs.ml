@@ -216,7 +216,7 @@ let meter_output ~tty steps =
   let oc = open_out path in
   let m = Obs.Progress.create ~out:oc ~tty ~enabled:true ~total:4 () in
   for _ = 1 to steps do
-    Obs.Progress.step ~tail:"tail" m
+    Obs.Progress.step m
   done;
   Obs.Progress.finish m;
   close_out oc;
@@ -238,8 +238,7 @@ let test_progress_tty_gating () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  check Alcotest.bool "progress fraction drawn" true (contains out "[2/4]");
-  check Alcotest.bool "tail drawn" true (contains out "tail")
+  check Alcotest.bool "progress fraction drawn" true (contains out "[2/4]")
 
 (* --- Pool introspection ----------------------------------------------------- *)
 
@@ -252,7 +251,6 @@ let test_pool_stats () =
       let s = Par.Pool.stats p in
       check Alcotest.int "inline size" 1 s.Par.Pool.s_size;
       check Alcotest.int "inline tasks counted" 5 s.Par.Pool.s_tasks;
-      check Alcotest.int "inline never steals" 0 s.Par.Pool.s_steals;
       check Alcotest.int "nothing queued" 0 s.Par.Pool.s_queued;
       check Alcotest.int "one worker row" 1 (Array.length s.Par.Pool.s_workers));
   (* Real pool: per-worker counters sum to the aggregate. *)
@@ -267,9 +265,6 @@ let test_pool_stats () =
       check Alcotest.int "worker rows" 3 (Array.length s.Par.Pool.s_workers);
       check Alcotest.int "rows sum to aggregate tasks" s.Par.Pool.s_tasks
         (Array.fold_left (fun a w -> a + w.Par.Pool.ws_tasks) 0
-           s.Par.Pool.s_workers);
-      check Alcotest.int "rows sum to aggregate steals" s.Par.Pool.s_steals
-        (Array.fold_left (fun a w -> a + w.Par.Pool.ws_steals) 0
            s.Par.Pool.s_workers))
 
 let test_pool_register_telemetry () =
@@ -288,8 +283,8 @@ let test_pool_register_telemetry () =
       in
       check Alcotest.bool "aggregate task counter exported" true
         (contains "sassi_pool_tasks_total 4");
-      check Alcotest.bool "steal counter exported" true
-        (contains "sassi_pool_steals_total");
+      check Alcotest.bool "idle-wake counter exported" true
+        (contains "sassi_pool_idle_wakes_total");
       check Alcotest.bool "queue-depth gauge exported" true
         (contains "sassi_pool_queue_depth");
       check Alcotest.bool "per-worker series labeled" true

@@ -1,51 +1,10 @@
-(* Tests for the parallel execution engine: the work-stealing deque,
-   splittable seeds, the domain pool (ordered joins, exception
-   propagation, stealing, shutdown), deterministic reduction, campaign
-   job manifests, and the headline contract — parallel campaign
-   results bit-identical to sequential ones. *)
+(* Tests for the parallel execution engine: splittable seeds, the
+   domain pool (ordered joins, FIFO start order, exception propagation,
+   shutdown), deterministic reduction, campaign job manifests, and the
+   headline contract — parallel campaign results bit-identical to
+   sequential ones. *)
 
 let check = Alcotest.check
-
-(* --- Deque ----------------------------------------------------------------- *)
-
-let test_deque_lifo_fifo () =
-  let d = Par.Deque.create () in
-  check Alcotest.bool "fresh deque empty" true (Par.Deque.is_empty d);
-  List.iter (Par.Deque.push_bottom d) [ 1; 2; 3 ];
-  check Alcotest.int "length" 3 (Par.Deque.length d);
-  (* Owner end pops newest first... *)
-  check Alcotest.(option int) "pop is LIFO" (Some 3) (Par.Deque.pop_bottom d);
-  (* ...thieves take the oldest. *)
-  check Alcotest.(option int) "steal is FIFO" (Some 1) (Par.Deque.steal d);
-  check Alcotest.(option int) "last element" (Some 2) (Par.Deque.pop_bottom d);
-  check Alcotest.(option int) "pop on empty" None (Par.Deque.pop_bottom d);
-  check Alcotest.(option int) "steal on empty" None (Par.Deque.steal d)
-
-let test_deque_grows () =
-  let d = Par.Deque.create ~capacity:2 () in
-  for i = 1 to 100 do
-    Par.Deque.push_bottom d i
-  done;
-  check Alcotest.int "all 100 queued" 100 (Par.Deque.length d);
-  let stolen = ref [] in
-  let rec drain () =
-    match Par.Deque.steal d with
-    | Some v ->
-      stolen := v :: !stolen;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check
-    Alcotest.(list int)
-    "steals drain in push order"
-    (List.init 100 (fun i -> i + 1))
-    (List.rev !stolen)
-
-let test_deque_bad_capacity () =
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Deque.create: capacity must be positive") (fun () ->
-        ignore (Par.Deque.create ~capacity:0 ()))
 
 (* --- Seed ------------------------------------------------------------------ *)
 
@@ -109,33 +68,39 @@ let test_pool_exception_propagates () =
       let g = Par.Pool.submit p (fun () -> 7) in
       check Alcotest.int "pool alive after task failure" 7 (Par.Pool.await g))
 
-let test_pool_work_stealing_drains () =
-  let p = Par.Pool.create ~domains:4 () in
-  (* A two-task handshake pushed onto one deque: each task blocks until
-     the other has started, so they must run on two different workers —
-     and since one worker can pop at most one of them before blocking
-     in it, finishing both requires at least one steal. Deterministic
-     even on a single CPU (the OS preempts the blocked spinner). *)
-  let a_started = Atomic.make false and b_started = Atomic.make false in
-  let handshake mine other () =
-    Atomic.set mine true;
-    while not (Atomic.get other) do
-      Domain.cpu_relax ()
-    done
-  in
-  let fa = Par.Pool.submit_on p ~worker:0 (handshake a_started b_started) in
-  let fb = Par.Pool.submit_on p ~worker:0 (handshake b_started a_started) in
-  Par.Pool.await fa;
-  Par.Pool.await fb;
-  (* Drain check: a pile of tasks on one deque all run, exactly once. *)
-  let futures =
-    List.init 64 (fun i -> Par.Pool.submit_on p ~worker:0 (fun () -> i))
-  in
-  let total = List.fold_left (fun a f -> a + Par.Pool.await f) 0 futures in
-  check Alcotest.int "every queued task ran exactly once" (64 * 63 / 2) total;
-  Par.Pool.shutdown p;
-  check Alcotest.bool "completing the handshake required a steal" true
-    ((Par.Pool.stats p).Par.Pool.s_steals >= 1)
+(* Tasks start in submission order: with both workers held inside
+   their first task, the two started tasks must be the two oldest.
+   Each task records its index, then blocks until released. *)
+let test_pool_fifo_start_order () =
+  Par.Pool.with_pool ~domains:2 (fun p ->
+      let lock = Mutex.create () and cond = Condition.create () in
+      let started = ref [] and released = ref false in
+      let task i () =
+        Mutex.protect lock (fun () ->
+            started := i :: !started;
+            Condition.broadcast cond;
+            while not !released do
+              Condition.wait cond lock
+            done)
+      in
+      let futures = List.init 8 (fun i -> Par.Pool.submit p (task i)) in
+      let first_two =
+        Mutex.protect lock (fun () ->
+            while List.length !started < 2 do
+              Condition.wait cond lock
+            done;
+            let first = List.sort compare !started in
+            released := true;
+            Condition.broadcast cond;
+            first)
+      in
+      check Alcotest.(list int) "first tasks started" [ 0; 1 ] first_two;
+      List.iter Par.Pool.await futures;
+      check
+        Alcotest.(list int)
+        "every task ran exactly once"
+        (List.init 8 Fun.id)
+        (List.sort compare !started))
 
 let test_pool_shutdown () =
   let p = Par.Pool.create ~domains:2 () in
@@ -320,13 +285,7 @@ let test_rng_split_matches_seed_split () =
 
 let suite =
   [ ( "par",
-      [ Alcotest.test_case "deque LIFO owner / FIFO thief" `Quick
-          test_deque_lifo_fifo;
-        Alcotest.test_case "deque grows past capacity" `Quick
-          test_deque_grows;
-        Alcotest.test_case "deque rejects bad capacity" `Quick
-          test_deque_bad_capacity;
-        Alcotest.test_case "seed split: stable, distinct, guarded" `Quick
+      [ Alcotest.test_case "seed split: stable, distinct, guarded" `Quick
           test_seed_split;
         Alcotest.test_case "pool map_ordered at 1/2/4 domains" `Quick
           test_pool_map_ordered;
@@ -334,8 +293,8 @@ let suite =
           test_pool_iter_ordered_streams_in_order;
         Alcotest.test_case "pool exception propagates, pool survives" `Quick
           test_pool_exception_propagates;
-        Alcotest.test_case "work stealing drains a hot deque" `Quick
-          test_pool_work_stealing_drains;
+        Alcotest.test_case "pool starts tasks in FIFO order" `Quick
+          test_pool_fifo_start_order;
         Alcotest.test_case "shutdown: drains, idempotent, refuses" `Quick
           test_pool_shutdown;
         Alcotest.test_case "pool rejects bad domain counts" `Quick

@@ -222,7 +222,7 @@ let sampled_vs_exact name variant =
   in
   let dev = Gpu.Device.create () in
   Cupti.Activity.enable ~capacity:(1 lsl 16)
-    ~overflow:(Cupti.Activity.Deliver (Array.iter tally_one))
+    ~overflow:(Trace.Ring.Flush_callback (Array.iter tally_one))
     dev
     [ Cupti.Activity.Warp ];
   let _ = w.Workloads.Workload.run dev ~variant in

@@ -377,6 +377,32 @@ let test_daemon_unterminated_line () =
       let code, _ = exchange port (String.make 8193 'a') in
       check Alcotest.int "overlong unterminated line" 400 code)
 
+(* A short request line and no newline, with the socket kept open:
+   the daemon's receive timeout must close the connection instead of
+   holding its handler thread until the peer leaves. The client waits
+   longer than that timeout, so a daemon without one fails here
+   rather than hanging the run. *)
+let test_daemon_read_timeout () =
+  with_daemon (fun _d port ->
+      let deadline = Serve.Daemon.read_timeout_s +. 2.0 in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          ignore (Unix.write_substring fd "GET /healthz" 0 12);
+          let t0 = Unix.gettimeofday () in
+          let rec closed () =
+            match Unix.read fd (Bytes.create 512) 0 512 with
+            | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> true
+            | _ -> closed ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              -> false
+          in
+          check Alcotest.bool "daemon closed the stalled connection" true
+            (closed ());
+          check Alcotest.bool "closed within the timeout plus 2 s" true
+            (Unix.gettimeofday () -. t0 < deadline)))
+
 let poll_job_done port id =
   let rec go n =
     if n = 0 then Alcotest.fail "served job never finished";
@@ -550,5 +576,7 @@ let suite =
          test_daemon_concurrent_connections;
        Alcotest.test_case "unterminated overlong line gets 400" `Quick
          test_daemon_unterminated_line;
+       Alcotest.test_case "stalled request line times out" `Quick
+         test_daemon_read_timeout;
        Alcotest.test_case "HTTP shutdown" `Quick test_daemon_shutdown_via_http
      ]) ]

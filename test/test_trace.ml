@@ -293,7 +293,7 @@ let test_activity_deliver () =
   let dev = device () in
   Cupti.Activity.enable ~capacity:512
     ~overflow:
-      (Cupti.Activity.Deliver
+      (Trace.Ring.Flush_callback
          (fun b ->
             incr batches;
             delivered := !delivered + Array.length b))
@@ -316,7 +316,7 @@ let test_activity_drop_oldest_accounting () =
   let batches = ref [] in
   let dev = device () in
   Cupti.Activity.enable ~capacity
-    ~overflow:(Cupti.Activity.Deliver (fun b -> batches := b :: !batches))
+    ~overflow:(Trace.Ring.Flush_callback (fun b -> batches := b :: !batches))
     dev Cupti.Activity.all_kinds;
   let _ = run_saxpy dev n in
   let stream =
