@@ -27,24 +27,27 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
     hits = 0;
     misses = 0 }
 
-let set_of t addr =
-  let line = addr / t.line_bytes in
-  line mod t.sets
-
 let tag_of t addr = addr / t.line_bytes
 
+let set_of t tag = tag mod t.sets
+
+(* [base] is a set's first way, below [sets * assoc]: the tag and stamp
+   arrays are indexed without bounds checks once the set is known to be
+   non-negative (a negative address has a negative set). *)
 let access t addr =
   t.tick <- t.tick + 1;
-  let s = set_of t addr in
   let tag = tag_of t addr in
+  let s = set_of t tag in
+  if s < 0 then invalid_arg "index out of bounds";
   let base = s * t.assoc in
+  let tags = t.tags and stamps = t.stamps in
   let found = ref (-1) in
   for w = 0 to t.assoc - 1 do
-    if t.tags.(base + w) = tag then found := w
+    if Array.unsafe_get tags (base + w) = tag then found := w
   done;
   if !found >= 0 then begin
     t.hits <- t.hits + 1;
-    t.stamps.(base + !found) <- t.tick;
+    Array.unsafe_set stamps (base + !found) t.tick;
     Hit
   end
   else begin
@@ -52,16 +55,18 @@ let access t addr =
     (* Fill: evict the LRU way. *)
     let victim = ref 0 in
     for w = 1 to t.assoc - 1 do
-      if t.stamps.(base + w) < t.stamps.(base + !victim) then victim := w
+      if Array.unsafe_get stamps (base + w)
+         < Array.unsafe_get stamps (base + !victim)
+      then victim := w
     done;
-    t.tags.(base + !victim) <- tag;
-    t.stamps.(base + !victim) <- t.tick;
+    Array.unsafe_set tags (base + !victim) tag;
+    Array.unsafe_set stamps (base + !victim) t.tick;
     Miss
   end
 
 let probe t addr =
-  let s = set_of t addr in
   let tag = tag_of t addr in
+  let s = set_of t tag in
   let base = s * t.assoc in
   let found = ref false in
   for w = 0 to t.assoc - 1 do

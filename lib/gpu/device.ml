@@ -32,6 +32,7 @@ let create ?(cfg = Config.default) ?domains () =
     d_transform = None;
     d_transform_gen = 0;
     d_kernel_cache = Hashtbl.create 16;
+    d_decoded = Code_table.create 16;
     d_launch_cbs = [];
     d_exit_cbs = [];
     d_cb_next = 0;
@@ -204,6 +205,17 @@ let transformed_kernel t kernel =
        Hashtbl.replace t.d_kernel_cache key k;
        k)
 
+(* Decode on the launching domain, before any shard spawns. *)
+let decoded t (kernel : Sass.Program.kernel) =
+  let instrs = kernel.Sass.Program.instrs in
+  match Code_table.find_opt t.d_decoded instrs with
+  | Some d -> d
+  | None ->
+    let shardable = Scheduler.shardable_kernel kernel in
+    let d = Decode.kernel ~shardable kernel in
+    Code_table.replace t.d_decoded instrs d;
+    d
+
 let launch t ~kernel ~grid ~block ~args =
   Obs.Tracer.with_span ~cat:"launch"
     ~attrs:
@@ -240,6 +252,7 @@ let launch t ~kernel ~grid ~block ~args =
   let launch =
     { l_device = t;
       l_kernel = kernel;
+      l_code = decoded t kernel;
       l_grid_x = gx;
       l_grid_y = gy;
       l_block_x = bx;

@@ -140,7 +140,12 @@ val launch :
 (** Applies the installed transform, runs launch callbacks, executes
     the kernel to completion, runs exit callbacks, and returns the
     launch statistics. Exceptions from traps propagate after no
-    callbacks have been skipped on the way in. *)
+    callbacks have been skipped on the way in.
+
+    The device decodes each (post-transform) kernel once and reuses
+    the decoded form, keyed by the physical identity of its [instrs]
+    array: a kernel's instruction array must not be mutated after it
+    has been launched on a device. Rewrite a copy instead. *)
 
 val invocation_count : t -> string -> int
 (** How many times a kernel of the given name has been launched. *)

@@ -1,24 +1,6 @@
 open Sass
 open State
 
-let iter_lanes mask f =
-  for lane = 0 to warp_size - 1 do
-    if mask land (1 lsl lane) <> 0 then f lane
-  done
-
-let fold_lanes mask f acc =
-  let acc = ref acc in
-  for lane = 0 to warp_size - 1 do
-    if mask land (1 lsl lane) <> 0 then acc := f !acc lane
-  done;
-  !acc
-
-let src_value launch w ~lane = function
-  | Instr.SReg r -> reg_get w ~lane r
-  | Instr.SImm i -> i land Value.mask
-  | Instr.SParam off -> Memory.read launch.l_params ~width:Opcode.W32 off
-  | Instr.SPred p -> if pred_get w ~lane p then 1 else 0
-
 let special_value sm w ~lane = function
   | Opcode.Sr_tid_x -> tid_x w ~lane
   | Opcode.Sr_tid_y -> tid_y w ~lane
@@ -64,6 +46,70 @@ let warp_exit w exiting =
     release_barrier_if_ready blk
   end
 
+(* Reconvergence: pop entries whose PC reached their RPC. *)
+let rec reconverge w =
+  match w.w_stack with
+  | e :: rest when e.e_rpc >= 0 && e.e_pc = e.e_rpc ->
+    w.w_stack <- rest;
+    reconverge w
+  | _ -> ()
+
+(* --- Operands ---------------------------------------------------------- *)
+
+(* Everything below reads decoded operands whose shape {!Decode} has
+   checked ([fault = ""]), so the unchecked indexing stays in bounds. *)
+
+let on m lane = m land (1 lsl lane) <> 0
+
+(* Source operand [k] in [lane]. Parameter operands were read into
+   [ops] once at the start of the step. *)
+let operand w ops (d : Decode.instr) k lane =
+  let v = Array.unsafe_get d.Decode.srcs k in
+  let kind = Array.unsafe_get d.Decode.kinds k in
+  if kind = Decode.k_reg then reg_read w lane v
+  else if kind = Decode.k_imm then v
+  else if kind = Decode.k_param then Array.unsafe_get ops k
+  else if pred_read w lane v then 1
+  else 0
+
+(* An optional trailing operand reads 0 when absent. *)
+let operand_opt w ops (d : Decode.instr) k lane =
+  if k < Array.length d.Decode.kinds then operand w ops d k lane else 0
+
+let dst (d : Decode.instr) k = Array.unsafe_get d.Decode.dsts k
+
+(* One lane loop per ALU shape. [f] is a closed function and [p], [q]
+   its opcode parameters, so a call allocates nothing. *)
+let alu1 w ops d m f p =
+  let r = dst d 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then reg_write w lane r (f p (operand w ops d 0 lane))
+  done
+
+let alu2 w ops d m f p =
+  let r = dst d 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then
+      reg_write w lane r
+        (f p (operand w ops d 0 lane) (operand w ops d 1 lane))
+  done
+
+let alu3 w ops d m f =
+  let r = dst d 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then
+      reg_write w lane r
+        (f (operand w ops d 0 lane) (operand w ops d 1 lane)
+           (operand w ops d 2 lane))
+  done
+
+let pred_lanes w ops (d : Decode.instr) m f p q =
+  for lane = 0 to warp_size - 1 do
+    if on m lane then
+      pred_write w lane d.Decode.pdst
+        (f p q (operand w ops d 0 lane) (operand w ops d 1 lane))
+  done
+
 (* --- Memory access helpers -------------------------------------------- *)
 
 let frame_bytes w = w.w_block.b_launch.l_kernel.Program.frame_bytes
@@ -72,16 +118,13 @@ let frame_bytes w = w.w_block.b_launch.l_kernel.Program.frame_bytes
    from the 32 lanes of a warp coalesce perfectly, as hardware local
    memory does. *)
 let local_phys w ~lane addr =
-  let launch = w.w_block.b_launch in
-  let warps_per_block =
-    (launch.l_block_x * launch.l_block_y + warp_size - 1) / warp_size
-  in
-  let warp_uid = (w.w_block.b_flat * warps_per_block) + w.w_id in
   Memsys.local_window
-  + (warp_uid * frame_bytes w * warp_size)
+  + (warp_uid w * frame_bytes w * warp_size)
   + (addr * warp_size) + (lane * 4)
 
-let texture_read launch ~width idx =
+(* Byte address of texel [idx] (texture clamp addressing; coordinates
+   are signed). *)
+let texel launch ~width idx =
   let dev = launch.l_device in
   match dev.d_texture with
   | None ->
@@ -90,11 +133,33 @@ let texture_read launch ~width idx =
   | Some (base, bytes) ->
     let elt = Opcode.bytes_of_width width in
     let n = bytes / elt in
-    (* Texture clamp addressing mode; coordinates are signed. *)
     let idx = Value.signed idx in
     let idx = if idx < 0 then 0 else if idx >= n then n - 1 else idx in
-    let addr = base + (idx * elt) in
-    (Memory.read dev.d_global ~width addr, addr)
+    base + (idx * elt)
+
+(* Write each active lane's effective address into the lane array, in
+   ascending lane order; returns how many. *)
+let lane_addrs w ops d m la =
+  let n = ref 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then begin
+      Array.unsafe_set la !n
+        (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane));
+      incr n
+    end
+  done;
+  !n
+
+let texel_addrs w ops d m la ~width =
+  let launch = w.w_block.b_launch in
+  let n = ref 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then begin
+      Array.unsafe_set la !n
+        (Memsys.texture_window + texel launch ~width (operand w ops d 0 lane));
+      incr n
+    end
+  done
 
 (* --- Activity tracing -------------------------------------------------- *)
 
@@ -116,39 +181,127 @@ let trace_mem dev sm w ~space ~write ~width ~lanes (r : Memsys.result) =
                 lanes;
                 transactions = r.Memsys.transactions }))
 
+(* Time a warp's global access over the first [n] lane addresses and
+   count its requested bytes and transactions; returns the latency. *)
+let global_timing dev sm w ~n ~width ~write =
+  let stats = sm.sm_stats in
+  let bytes = Opcode.bytes_of_width width in
+  let r =
+    Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n ~width:bytes
+  in
+  let t = r.Memsys.transactions in
+  if write then begin
+    stats.Stats.gst_requested_bytes <-
+      stats.Stats.gst_requested_bytes + (n * bytes);
+    stats.Stats.gst_transactions <- stats.Stats.gst_transactions + t
+  end
+  else begin
+    stats.Stats.gld_requested_bytes <-
+      stats.Stats.gld_requested_bytes + (n * bytes);
+    stats.Stats.gld_transactions <- stats.Stats.gld_transactions + t
+  end;
+  trace_mem dev sm w ~space:Trace.Record.Sp_global ~write ~width ~lanes:n r;
+  r.Memsys.latency
+
+let shared_timing dev sm w ~n ~width ~write =
+  let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats:sm.sm_stats ~n in
+  trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write ~width ~lanes:n r;
+  r.Memsys.latency
+
+(* Local (spill/fill) loads and stores. A uniform frame offset makes
+   the interleaved physical addresses one contiguous run; otherwise
+   each lane's address goes through the coalescer, read after a load's
+   own register writes. *)
+let local_access dev sm w ops (d : Decode.instr) m la ~width ~store =
+  let n = lane_addrs w ops d m la in
+  let frame = frame_bytes w in
+  let addr0 = if n > 0 then la.(0) else -1 in
+  let uniform = ref true and k = ref 0 in
+  for lane = 0 to warp_size - 1 do
+    if on m lane then begin
+      let addr = Array.unsafe_get la !k in
+      incr k;
+      if addr <> addr0 then uniform := false;
+      if addr < 0 || addr >= frame then
+        raise (Trap.Memory_fault
+                 { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
+      if store then
+        Memory.write w.w_local ~width ((lane * frame) + addr)
+          (operand w ops d 2 lane)
+      else
+        reg_write w lane (dst d 0)
+          (Memory.read w.w_local ~width ((lane * frame) + addr))
+    end
+  done;
+  if n = 0 then -1
+  else begin
+    let stats = sm.sm_stats in
+    let r =
+      if !uniform then
+        Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
+          ~first_phys:(local_phys w ~lane:(Value.ffs m - 1) addr0)
+          ~last_phys:(local_phys w ~lane:(Value.flo m) addr0)
+          ~width:4
+      else begin
+        if d.Decode.alias then ignore (lane_addrs w ops d m la);
+        let k = ref 0 in
+        for lane = 0 to warp_size - 1 do
+          if on m lane then begin
+            la.(!k) <- local_phys w ~lane la.(!k);
+            incr k
+          end
+        done;
+        Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n ~width:4
+      end
+    in
+    trace_mem dev sm w ~space:Trace.Record.Sp_local ~write:store ~width
+      ~lanes:n r;
+    r.Memsys.latency
+  end
+
+let atomic_value aop width old operand swap =
+  match aop with
+  | Opcode.A_add ->
+    if width = Opcode.W64 then old + operand else Value.add old operand
+  | Opcode.A_min -> Value.min_max ~cmp:Opcode.Lt old operand
+  | Opcode.A_max -> Value.min_max ~cmp:Opcode.Gt old operand
+  | Opcode.A_exch -> operand
+  | Opcode.A_cas -> if old = operand then swap else old
+  | Opcode.A_and -> old land operand
+  | Opcode.A_or -> old lor operand
+  | Opcode.A_xor -> old lxor operand
+
 (* --- The main dispatch ------------------------------------------------- *)
 
 let step sm w =
-  (* Reconvergence: pop entries whose PC reached their RPC. *)
-  let rec reconverge () =
-    match w.w_stack with
-    | e :: rest when e.e_rpc >= 0 && e.e_pc = e.e_rpc ->
-      w.w_stack <- rest;
-      reconverge ()
-    | _ -> ()
-  in
-  reconverge ();
+  reconverge w;
   let e = tos w in
   let launch = w.w_block.b_launch in
   let dev = launch.l_device in
   let cfg = dev.d_cfg in
   let stats = sm.sm_stats in
   let pc = e.e_pc in
-  let instrs = launch.l_kernel.Program.instrs in
-  if pc < 0 || pc >= Array.length instrs then
+  let code = launch.l_code.Decode.code in
+  if pc < 0 || pc >= Array.length code then
     raise (Trap.Memory_fault
              { space = Opcode.Global; addr = pc;
                kind = Trap.Invalid_instruction });
-  let i = instrs.(pc) in
-  let exec_mask =
-    fold_lanes e.e_mask
-      (fun acc lane ->
-         if guard_passes w ~lane i.Instr.guard then acc lor (1 lsl lane)
-         else acc)
-      0
+  let d = Array.unsafe_get code pc in
+  if String.length d.Decode.fault > 0 then invalid_arg d.Decode.fault;
+  let m =
+    if d.Decode.guard = Decode.no_pred && not d.Decode.negated then e.e_mask
+    else begin
+      let m = ref 0 in
+      for lane = 0 to warp_size - 1 do
+        if on e.e_mask lane
+           && pred_read w lane d.Decode.guard <> d.Decode.negated
+        then m := !m lor (1 lsl lane)
+      done;
+      !m
+    end
   in
-  let nactive = Value.popc exec_mask in
-  Stats.count_instr stats i.Instr.op ~active_lanes:nactive;
+  let nactive = Value.popc m in
+  Stats.count_instr stats ~classes:d.Decode.classes ~active_lanes:nactive;
   (match sm.sm_tracer with
    | Some _ ->
      (* Stamp this SM's context attached to L1/L2 probe records
@@ -157,324 +310,167 @@ let step sm w =
        ~cycle:(dev.d_trace_base + sm.sm_cycle)
        ~warp:(warp_uid w)
    | None -> ());
+  let ops = sm.sm_operands in
+  let kinds = d.Decode.kinds in
+  for k = 0 to Array.length kinds - 1 do
+    if Array.unsafe_get kinds k = Decode.k_param then
+      ops.(k) <- Memory.read launch.l_params ~width:Opcode.W32 d.Decode.srcs.(k)
+  done;
+  let la = Memsys.lanes dev.d_mem ~sm:sm.sm_id in
   let latency = ref cfg.Config.lat_alu in
   let next_pc = ref (pc + 1) in
-  let sv lane s = src_value launch w ~lane s in
-  let dst1 () =
-    match i.Instr.dsts with
-    | d :: _ -> d
-    | [] -> invalid_arg "Exec: missing destination"
-  in
-  let src n =
-    match List.nth_opt i.Instr.srcs n with
-    | Some s -> s
-    | None -> invalid_arg "Exec: missing source operand"
-  in
-  (* Hoist operand decoding out of the 32-lane loops: uniform operands
-     (immediates, constant-bank reads) are evaluated once. *)
-  let evaluator s =
-    match s with
-    | Instr.SImm v ->
-      let v = v land Value.mask in
-      fun _ -> v
-    | Instr.SParam off ->
-      let v = Memory.read launch.l_params ~width:Opcode.W32 off in
-      fun _ -> v
-    | Instr.SReg r -> fun lane -> reg_get w ~lane r
-    | Instr.SPred p -> fun lane -> if pred_get w ~lane p then 1 else 0
-  in
-  let unop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    iter_lanes exec_mask (fun lane -> reg_set w ~lane d (f (e0 lane)))
-  in
-  let binop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    iter_lanes exec_mask (fun lane ->
-        reg_set w ~lane d (f (e0 lane) (e1 lane)))
-  in
-  let ternop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    let e2 = evaluator (src 2) in
-    iter_lanes exec_mask (fun lane ->
-        reg_set w ~lane d (f (e0 lane) (e1 lane) (e2 lane)))
-  in
-  let setp f =
-    let p =
-      match i.Instr.pdsts with
-      | p :: _ -> p
-      | [] -> invalid_arg "Exec: SETP without predicate destination"
-    in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    iter_lanes exec_mask (fun lane ->
-        pred_set w ~lane p (f (e0 lane) (e1 lane)))
-  in
-  (* Effective address for memory ops: src0 + src1. *)
-  let eff_addr =
-    lazy
-      (let e0 = evaluator (src 0) in
-       let e1 = evaluator (src 1) in
-       fun lane -> Value.wrap (e0 lane + e1 lane))
-  in
-  let eff_addr lane = Lazy.force eff_addr lane in
-  let mem_pairs width =
-    fold_lanes exec_mask
-      (fun acc lane -> (eff_addr lane, Opcode.bytes_of_width width) :: acc)
-      []
-  in
-  (match i.Instr.op with
-   | Opcode.IADD -> binop Value.add
-   | Opcode.ISUB -> binop Value.sub
-   | Opcode.IMUL -> binop Value.mul
-   | Opcode.IMAD -> ternop Value.mad
+  (match d.Decode.op with
+   | Opcode.IADD -> alu2 w ops d m (fun () a b -> Value.add a b) ()
+   | Opcode.ISUB -> alu2 w ops d m (fun () a b -> Value.sub a b) ()
+   | Opcode.IMUL -> alu2 w ops d m (fun () a b -> Value.mul a b) ()
+   | Opcode.IMAD -> alu3 w ops d m Value.mad
    | Opcode.IDIV sign ->
      latency := cfg.Config.lat_mufu * 2;
-     binop (Value.div ~sign)
+     alu2 w ops d m (fun sign a b -> Value.div ~sign a b) sign
    | Opcode.IMOD sign ->
      latency := cfg.Config.lat_mufu * 2;
-     binop (Value.rem ~sign)
-   | Opcode.IMNMX cmp -> binop (Value.min_max ~cmp)
-   | Opcode.SHL -> binop Value.shl
-   | Opcode.SHR sign -> binop (Value.shr ~sign)
-   | Opcode.LOP logic -> binop (Value.logic logic)
-   | Opcode.BREV -> unop Value.brev
-   | Opcode.POPC -> unop Value.popc
-   | Opcode.FLO -> unop Value.flo
-   | Opcode.ISETP (cmp, sign) -> setp (Value.compare_int ~cmp ~sign)
-   | Opcode.FADD -> binop Value.fadd
-   | Opcode.FSUB -> binop Value.fsub
-   | Opcode.FMUL -> binop Value.fmul
-   | Opcode.FFMA -> ternop Value.ffma
-   | Opcode.FMNMX cmp -> binop (Value.fmin_max ~cmp)
+     alu2 w ops d m (fun sign a b -> Value.rem ~sign a b) sign
+   | Opcode.IMNMX cmp ->
+     alu2 w ops d m (fun cmp a b -> Value.min_max ~cmp a b) cmp
+   | Opcode.SHL -> alu2 w ops d m (fun () a b -> Value.shl a b) ()
+   | Opcode.SHR sign ->
+     alu2 w ops d m (fun sign a b -> Value.shr ~sign a b) sign
+   | Opcode.LOP logic -> alu2 w ops d m Value.logic logic
+   | Opcode.BREV -> alu1 w ops d m (fun () v -> Value.brev v) ()
+   | Opcode.POPC -> alu1 w ops d m (fun () v -> Value.popc v) ()
+   | Opcode.FLO -> alu1 w ops d m (fun () v -> Value.flo v) ()
+   | Opcode.ISETP (cmp, sign) ->
+     pred_lanes w ops d m
+       (fun cmp sign a b -> Value.compare_int ~cmp ~sign a b)
+       cmp sign
+   | Opcode.FADD -> alu2 w ops d m (fun () a b -> Value.fadd a b) ()
+   | Opcode.FSUB -> alu2 w ops d m (fun () a b -> Value.fsub a b) ()
+   | Opcode.FMUL -> alu2 w ops d m (fun () a b -> Value.fmul a b) ()
+   | Opcode.FFMA -> alu3 w ops d m Value.ffma
+   | Opcode.FMNMX cmp ->
+     alu2 w ops d m (fun cmp a b -> Value.fmin_max ~cmp a b) cmp
    | Opcode.MUFU f ->
      latency := cfg.Config.lat_mufu;
-     unop (Value.mufu f)
-   | Opcode.FSETP cmp -> setp (Value.compare_f32 ~cmp)
-   | Opcode.I2F sign -> unop (Value.i2f ~sign)
-   | Opcode.F2I sign -> unop (Value.f2i ~sign)
-   | Opcode.MOV -> unop (fun v -> v)
-   | Opcode.SEL ->
-     iter_lanes exec_mask (fun lane ->
-         let c = sv lane (src 2) <> 0 in
-         reg_set w ~lane (dst1 ())
-           (if c then sv lane (src 0) else sv lane (src 1)))
+     alu1 w ops d m Value.mufu f
+   | Opcode.FSETP cmp ->
+     pred_lanes w ops d m (fun cmp () a b -> Value.compare_f32 ~cmp a b) cmp ()
+   | Opcode.I2F sign -> alu1 w ops d m (fun sign v -> Value.i2f ~sign v) sign
+   | Opcode.F2I sign -> alu1 w ops d m (fun sign v -> Value.f2i ~sign v) sign
+   | Opcode.MOV -> alu1 w ops d m (fun () v -> v) ()
+   | Opcode.SEL -> alu3 w ops d m (fun a b c -> if c <> 0 then a else b)
    | Opcode.S2R sr ->
-     iter_lanes exec_mask (fun lane ->
-         reg_set w ~lane (dst1 ()) (special_value sm w ~lane sr))
+     for lane = 0 to warp_size - 1 do
+       if on m lane then
+         reg_write w lane (dst d 0) (special_value sm w ~lane sr)
+     done
    | Opcode.P2R ->
-     iter_lanes exec_mask (fun lane ->
-         let bits =
-           List.fold_left
-             (fun acc j ->
-                if pred_get w ~lane (Pred.p j) then acc lor (1 lsl j) else acc)
-             0 [ 0; 1; 2; 3; 4; 5; 6 ]
-         in
-         reg_set w ~lane (dst1 ()) bits)
+     for lane = 0 to warp_size - 1 do
+       if on m lane then reg_write w lane (dst d 0) (w.w_preds.(lane) land 0x7F)
+     done
    | Opcode.R2P ->
-     iter_lanes exec_mask (fun lane ->
-         let bits = sv lane (src 0) in
-         List.iter
-           (fun j -> pred_set w ~lane (Pred.p j) (bits land (1 lsl j) <> 0))
-           [ 0; 1; 2; 3; 4; 5; 6 ])
+     for lane = 0 to warp_size - 1 do
+       if on m lane then
+         w.w_preds.(lane) <- (operand w ops d 0 lane land 0x7F) lor pt_bit
+     done
    | Opcode.PSETP logic ->
-     let p =
-       match i.Instr.pdsts with
-       | p :: _ -> p
-       | [] -> invalid_arg "Exec: PSETP without predicate destination"
-     in
-     iter_lanes exec_mask (fun lane ->
-         let a = sv lane (src 0) <> 0 in
-         let b =
-           match List.nth_opt i.Instr.srcs 1 with
-           | Some s -> sv lane s <> 0
-           | None -> false
-         in
-         let r =
-           match logic with
-           | Opcode.L_and -> a && b
-           | Opcode.L_or -> a || b
-           | Opcode.L_xor -> a <> b
-           | Opcode.L_not -> not a
-         in
-         pred_set w ~lane p r)
-   | Opcode.LD (space, width) ->
-     (match space with
-      | Opcode.Global ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            match width with
-            | Opcode.W64 ->
-              (match i.Instr.dsts with
-               | [ lo; hi ] ->
-                 reg_set w ~lane lo
-                   (Memory.read dev.d_global ~width:Opcode.W32 addr);
-                 reg_set w ~lane hi
-                   (Memory.read dev.d_global ~width:Opcode.W32 (addr + 4))
-               | _ -> invalid_arg "Exec: LD.64 needs a register pair")
-            | _ -> reg_set w ~lane (dst1 ()) (Memory.read dev.d_global ~width addr));
-        if nactive > 0 then begin
-          let r =
-            Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-              (mem_pairs width)
-          in
-          stats.Stats.gld_requested_bytes <-
-            stats.Stats.gld_requested_bytes
-            + (nactive * Opcode.bytes_of_width width);
-          stats.Stats.gld_transactions <-
-            stats.Stats.gld_transactions + r.Memsys.transactions;
-          trace_mem dev sm w ~space:Trace.Record.Sp_global ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Shared ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            reg_set w ~lane (dst1 ())
-              (Memory.read w.w_block.b_shared ~width addr));
-        if nactive > 0 then begin
-          let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-          let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs in
-          trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Local ->
-        let uniform = ref true in
-        let addr0 = ref (-1) in
-        let frame = frame_bytes w in
-        let d = dst1 () in
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            if !addr0 < 0 then addr0 := addr
-            else if addr <> !addr0 then uniform := false;
-            if addr < 0 || addr >= frame then
-              raise (Trap.Memory_fault
-                       { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
-            reg_set w ~lane d
-              (Memory.read w.w_local ~width ((lane * frame) + addr)));
-        if nactive > 0 then begin
-          let r =
-            if !uniform then begin
-              (* Same frame offset in every lane: the interleaved
-                 physical addresses form one contiguous run. *)
-              let first = Value.ffs exec_mask - 1 in
-              let last = Value.flo exec_mask in
-              Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
-                ~first_phys:(local_phys w ~lane:first !addr0)
-                ~last_phys:(local_phys w ~lane:last !addr0)
-                ~width:4
-            end
-            else
-              Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-                (fold_lanes exec_mask
-                   (fun a lane -> (local_phys w ~lane (eff_addr lane), 4) :: a)
-                   [])
-          in
-          trace_mem dev sm w ~space:Trace.Record.Sp_local ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Param ->
-        iter_lanes exec_mask (fun lane ->
-            reg_set w ~lane (dst1 ())
-              (Memory.read launch.l_params ~width (eff_addr lane)))
-      | Opcode.Tex ->
-        iter_lanes exec_mask (fun lane ->
-            let v, _ = texture_read launch ~width (sv lane (src 0)) in
-            reg_set w ~lane (dst1 ()) v);
-        latency := cfg.Config.lat_l1)
-   | Opcode.ST (space, width) ->
-     let ev0 = evaluator (src 2) in
-     let ev1 =
-       match List.nth_opt i.Instr.srcs 3 with
-       | Some s -> evaluator s
-       | None -> fun _ -> 0
-     in
-     let value_src lane k = if k = 0 then ev0 lane else ev1 lane in
-     (match space with
-      | Opcode.Global ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            match width with
-            | Opcode.W64 ->
-              Memory.write dev.d_global ~width:Opcode.W32 addr
-                (value_src lane 0);
-              Memory.write dev.d_global ~width:Opcode.W32 (addr + 4)
-                (value_src lane 1)
-            | _ -> Memory.write dev.d_global ~width addr (value_src lane 0));
-        if nactive > 0 then begin
-          let r =
-            Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-              (mem_pairs width)
-          in
-          stats.Stats.gst_requested_bytes <-
-            stats.Stats.gst_requested_bytes
-            + (nactive * Opcode.bytes_of_width width);
-          stats.Stats.gst_transactions <-
-            stats.Stats.gst_transactions + r.Memsys.transactions;
-          trace_mem dev sm w ~space:Trace.Record.Sp_global ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Shared ->
-        iter_lanes exec_mask (fun lane ->
-            Memory.write w.w_block.b_shared ~width (eff_addr lane)
-              (value_src lane 0));
-        if nactive > 0 then begin
-          let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-          let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs in
-          trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Local ->
-        let uniform = ref true in
-        let addr0 = ref (-1) in
-        let frame = frame_bytes w in
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            if !addr0 < 0 then addr0 := addr
-            else if addr <> !addr0 then uniform := false;
-            if addr < 0 || addr >= frame then
-              raise (Trap.Memory_fault
-                       { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
-            Memory.write w.w_local ~width ((lane * frame) + addr)
-              (value_src lane 0));
-        if nactive > 0 then begin
-          let r =
-            if !uniform then begin
-              let first = Value.ffs exec_mask - 1 in
-              let last = Value.flo exec_mask in
-              Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
-                ~first_phys:(local_phys w ~lane:first !addr0)
-                ~last_phys:(local_phys w ~lane:last !addr0)
-                ~width:4
-            end
-            else
-              Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-                (fold_lanes exec_mask
-                   (fun a lane -> (local_phys w ~lane (eff_addr lane), 4) :: a)
-                   [])
-          in
-          trace_mem dev sm w ~space:Trace.Record.Sp_local ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Param | Opcode.Tex ->
-        raise (Trap.Memory_fault
-                 { space; addr = 0; kind = Trap.Invalid_instruction }))
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let a = operand w ops d 0 lane <> 0 in
+         let b = operand_opt w ops d 1 lane <> 0 in
+         pred_write w lane d.Decode.pdst
+           (match logic with
+            | Opcode.L_and -> a && b
+            | Opcode.L_or -> a || b
+            | Opcode.L_xor -> a <> b
+            | Opcode.L_not -> not a)
+       end
+     done
+   | Opcode.LD (Opcode.Global, width) ->
+     let n = lane_addrs w ops d m la in
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let addr = Array.unsafe_get la !k in
+         incr k;
+         if width = Opcode.W64 then begin
+           reg_write w lane (dst d 0)
+             (Memory.read dev.d_global ~width:Opcode.W32 addr);
+           reg_write w lane (dst d 1)
+             (Memory.read dev.d_global ~width:Opcode.W32 (addr + 4))
+         end
+         else reg_write w lane (dst d 0) (Memory.read dev.d_global ~width addr)
+       end
+     done;
+     (* The coalescer sees each lane's address as it reads after the
+        load's own register writes. *)
+     if d.Decode.alias then ignore (lane_addrs w ops d m la);
+     if n > 0 then latency := global_timing dev sm w ~n ~width ~write:false
+   | Opcode.LD (Opcode.Shared, width) ->
+     let n = lane_addrs w ops d m la in
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         reg_write w lane (dst d 0)
+           (Memory.read w.w_block.b_shared ~width (Array.unsafe_get la !k));
+         incr k
+       end
+     done;
+     if d.Decode.alias then ignore (lane_addrs w ops d m la);
+     if n > 0 then latency := shared_timing dev sm w ~n ~width ~write:false
+   | Opcode.LD (Opcode.Local, width) ->
+     let l = local_access dev sm w ops d m la ~width ~store:false in
+     if l >= 0 then latency := l
+   | Opcode.LD (Opcode.Param, width) ->
+     for lane = 0 to warp_size - 1 do
+       if on m lane then
+         reg_write w lane (dst d 0)
+           (Memory.read launch.l_params ~width
+              (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane)))
+     done
+   | Opcode.LD (Opcode.Tex, width) ->
+     for lane = 0 to warp_size - 1 do
+       if on m lane then
+         reg_write w lane (dst d 0)
+           (Memory.read dev.d_global ~width
+              (texel launch ~width (operand w ops d 0 lane)))
+     done;
+     latency := cfg.Config.lat_l1
+   | Opcode.ST (Opcode.Global, width) ->
+     let n = lane_addrs w ops d m la in
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let addr = Array.unsafe_get la !k in
+         incr k;
+         if width = Opcode.W64 then begin
+           Memory.write dev.d_global ~width:Opcode.W32 addr
+             (operand w ops d 2 lane);
+           Memory.write dev.d_global ~width:Opcode.W32 (addr + 4)
+             (operand_opt w ops d 3 lane)
+         end
+         else Memory.write dev.d_global ~width addr (operand w ops d 2 lane)
+       end
+     done;
+     if n > 0 then latency := global_timing dev sm w ~n ~width ~write:true
+   | Opcode.ST (Opcode.Shared, width) ->
+     let n = lane_addrs w ops d m la in
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         Memory.write w.w_block.b_shared ~width (Array.unsafe_get la !k)
+           (operand w ops d 2 lane);
+         incr k
+       end
+     done;
+     if n > 0 then latency := shared_timing dev sm w ~n ~width ~write:true
+   | Opcode.ST (Opcode.Local, width) ->
+     let l = local_access dev sm w ops d m la ~width ~store:true in
+     if l >= 0 then latency := l
+   | Opcode.ST ((Opcode.Param | Opcode.Tex) as space, _) ->
+     raise (Trap.Memory_fault
+              { space; addr = 0; kind = Trap.Invalid_instruction })
    | Opcode.ATOM (space, aop, width) | Opcode.RED (space, aop, width) ->
-     let has_dst =
-       match i.Instr.op with
-       | Opcode.ATOM _ -> true
-       | _ -> false
-     in
-     let mem_of_space =
+     let mem =
        match space with
        | Opcode.Global -> dev.d_global
        | Opcode.Shared -> w.w_block.b_shared
@@ -482,101 +478,96 @@ let step sm w =
          raise (Trap.Memory_fault
                   { space; addr = 0; kind = Trap.Invalid_instruction })
      in
-     iter_lanes exec_mask (fun lane ->
-         let addr = eff_addr lane in
-         let old = Memory.read mem_of_space ~width addr in
-         let operand = sv lane (src 2) in
-         let nv =
-           match aop with
-           | Opcode.A_add ->
-             (match width with
-              | Opcode.W64 -> old + operand
-              | _ -> Value.add old operand)
-           | Opcode.A_min -> Value.min_max ~cmp:Opcode.Lt old operand
-           | Opcode.A_max -> Value.min_max ~cmp:Opcode.Gt old operand
-           | Opcode.A_exch -> operand
-           | Opcode.A_cas ->
-             let swap = sv lane (src 3) in
-             if old = operand then swap else old
-           | Opcode.A_and -> old land operand
-           | Opcode.A_or -> old lor operand
-           | Opcode.A_xor -> old lxor operand
-         in
-         Memory.write mem_of_space ~width addr nv;
-         if has_dst then reg_set w ~lane (dst1 ()) old);
-     if nactive > 0 then begin
+     let has_dst =
+       match d.Decode.op with
+       | Opcode.ATOM _ -> true
+       | _ -> false
+     in
+     let n = lane_addrs w ops d m la in
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let addr = Array.unsafe_get la !k in
+         incr k;
+         let old = Memory.read mem ~width addr in
+         Memory.write mem ~width addr
+           (atomic_value aop width old (operand w ops d 2 lane)
+              (operand_opt w ops d 3 lane));
+         if has_dst then reg_write w lane (dst d 0) old
+       end
+     done;
+     if d.Decode.alias then ignore (lane_addrs w ops d m la);
+     if n > 0 then begin
        let r =
          match space with
          | Opcode.Global ->
-           Memsys.atomic_access dev.d_mem ~sm:sm.sm_id ~stats
-             (mem_pairs width)
-         | _ ->
-           let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-           Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs
+           Memsys.atomic_access dev.d_mem ~sm:sm.sm_id ~stats ~n
+             ~width:(Opcode.bytes_of_width width)
+         | _ -> Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats ~n
        in
        let tr_space =
          match space with
          | Opcode.Global -> Trace.Record.Sp_global
          | _ -> Trace.Record.Sp_shared
        in
-       trace_mem dev sm w ~space:tr_space ~write:true ~width ~lanes:nactive
-         r;
+       trace_mem dev sm w ~space:tr_space ~write:true ~width ~lanes:n r;
        latency := r.Memsys.latency + cfg.Config.lat_atomic
      end
    | Opcode.TLD width ->
-     iter_lanes exec_mask (fun lane ->
-         let v, _ = texture_read launch ~width (sv lane (src 0)) in
-         match width with
-         | Opcode.W64 ->
-           (match i.Instr.dsts with
-            | [ lo; hi ] ->
-              reg_set w ~lane lo (v land Value.mask);
-              reg_set w ~lane hi ((v lsr 32) land Value.mask)
-            | _ -> invalid_arg "Exec: TLD.64 needs a register pair")
-         | _ -> reg_set w ~lane (dst1 ()) v);
+     texel_addrs w ops d m la ~width;
+     let k = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let v =
+           Memory.read dev.d_global ~width
+             (Array.unsafe_get la !k - Memsys.texture_window)
+         in
+         incr k;
+         if width = Opcode.W64 then begin
+           reg_write w lane (dst d 0) (v land Value.mask);
+           reg_write w lane (dst d 1) ((v lsr 32) land Value.mask)
+         end
+         else reg_write w lane (dst d 0) v
+       end
+     done;
      if nactive > 0 then begin
-       let pairs =
-         fold_lanes exec_mask
-           (fun a lane ->
-              let _, addr = texture_read launch ~width (sv lane (src 0)) in
-              (Memsys.texture_window + addr, Opcode.bytes_of_width width)
-              :: a)
-           []
+       if d.Decode.alias then texel_addrs w ops d m la ~width;
+       let r =
+         Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n:nactive
+           ~width:(Opcode.bytes_of_width width)
        in
-       let r = Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats pairs in
        trace_mem dev sm w ~space:Trace.Record.Sp_texture ~write:false ~width
          ~lanes:nactive r;
        latency := r.Memsys.latency
      end
    | Opcode.MEMBAR -> ()
    | Opcode.VOTE mode ->
-     let ballot =
-       fold_lanes exec_mask
-         (fun acc lane ->
-            if sv lane (src 0) <> 0 then acc lor (1 lsl lane) else acc)
-         0
+     let ballot = ref 0 in
+     for lane = 0 to warp_size - 1 do
+       if on m lane && operand w ops d 0 lane <> 0 then
+         ballot := !ballot lor (1 lsl lane)
+     done;
+     let r =
+       match mode with
+       | Opcode.V_ballot -> !ballot
+       | Opcode.V_any -> if !ballot <> 0 then 1 else 0
+       | Opcode.V_all -> if !ballot = m then 1 else 0
      in
-     (match mode with
-      | Opcode.V_ballot ->
-        iter_lanes exec_mask (fun lane -> reg_set w ~lane (dst1 ()) ballot)
-      | Opcode.V_any ->
-        let r = ballot <> 0 in
-        (match i.Instr.pdsts with
-         | p :: _ -> iter_lanes exec_mask (fun lane -> pred_set w ~lane p r)
-         | [] -> iter_lanes exec_mask (fun lane ->
-             reg_set w ~lane (dst1 ()) (if r then 1 else 0)))
-      | Opcode.V_all ->
-        let r = ballot = exec_mask in
-        (match i.Instr.pdsts with
-         | p :: _ -> iter_lanes exec_mask (fun lane -> pred_set w ~lane p r)
-         | [] -> iter_lanes exec_mask (fun lane ->
-             reg_set w ~lane (dst1 ()) (if r then 1 else 0))))
+     for lane = 0 to warp_size - 1 do
+       if on m lane then
+         if mode <> Opcode.V_ballot && d.Decode.pdst >= 0 then
+           pred_write w lane d.Decode.pdst (r <> 0)
+         else reg_write w lane (dst d 0) r
+     done
    | Opcode.SHFL mode ->
-     (* Read all source values first: dst may alias src. *)
-     let values = Array.make warp_size 0 in
-     iter_lanes exec_mask (fun lane -> values.(lane) <- sv lane (src 0));
-     iter_lanes exec_mask (fun lane ->
-         let b = sv lane (src 1) in
+     (* Read all source values first: dst may alias src. The lane array
+        holds them, indexed by lane. *)
+     for lane = 0 to warp_size - 1 do
+       if on m lane then la.(lane) <- operand w ops d 0 lane
+     done;
+     for lane = 0 to warp_size - 1 do
+       if on m lane then begin
+         let b = operand w ops d 1 lane in
          let target =
            match mode with
            | Opcode.S_idx -> b land 31
@@ -584,27 +575,21 @@ let step sm w =
            | Opcode.S_down -> lane + b
            | Opcode.S_bfly -> lane lxor b
          in
-         let v =
-           if target < 0 || target >= warp_size
-              || exec_mask land (1 lsl target) = 0
-           then values.(lane)
-           else values.(target)
-         in
-         reg_set w ~lane (dst1 ()) v)
+         reg_write w lane (dst d 0)
+           (if target < 0 || target >= warp_size || not (on m target)
+            then la.(lane)
+            else la.(target))
+       end
+     done
    | Opcode.BRA ->
-     let target =
-       match i.Instr.target with
-       | Some t -> t
-       | None -> invalid_arg "Exec: unresolved branch"
-     in
-     if Instr.is_cond_branch i then begin
+     let target = d.Decode.target in
+     if d.Decode.cond_branch then begin
        stats.Stats.branches <- stats.Stats.branches + 1;
        (match sm.sm_telemetry with
         | None -> ()
-        | Some tm ->
-          Telemetry.Hist.observe tm.tm_branch_lanes (popc_mask exec_mask));
-       let taken = exec_mask in
-       let not_taken = e.e_mask land lnot exec_mask in
+        | Some tm -> Telemetry.Hist.observe tm.tm_branch_lanes (popc_mask m));
+       let taken = m in
+       let not_taken = e.e_mask land lnot m in
        if taken = 0 then next_pc := pc + 1
        else if not_taken = 0 then next_pc := target
        else begin
@@ -615,11 +600,7 @@ let step sm w =
           | Some tm ->
             Telemetry.Hist.observe tm.tm_divergent_taken_lanes
               (popc_mask taken));
-         let rpc =
-           match i.Instr.reconv with
-           | Some r -> r
-           | None -> -1
-         in
+         let rpc = d.Decode.reconv in
          let rest =
            match w.w_stack with
            | _ :: r -> r
@@ -638,13 +619,8 @@ let step sm w =
      end
      else next_pc := target
    | Opcode.CAL ->
-     let target =
-       match i.Instr.target with
-       | Some t -> t
-       | None -> invalid_arg "Exec: unresolved call"
-     in
      w.w_call_stack <- (pc + 1) :: w.w_call_stack;
-     next_pc := target
+     next_pc := d.Decode.target
    | Opcode.RET ->
      (match w.w_call_stack with
       | ret :: rest ->
@@ -652,11 +628,11 @@ let step sm w =
         next_pc := ret
       | [] ->
         (* RET at kernel top level exits, like PTX. *)
-        warp_exit w exec_mask;
+        warp_exit w m;
         next_pc := (if w.w_stack = [] then -2 else pc + 1))
    | Opcode.EXIT ->
-     if exec_mask <> 0 then begin
-       warp_exit w exec_mask;
+     if m <> 0 then begin
+       warp_exit w m;
        (* If some lanes remain (guarded EXIT), execution continues. *)
        next_pc := (if w.w_stack = [] then -2 else pc + 1)
      end
@@ -723,7 +699,7 @@ let step sm w =
             h_warp = w;
             h_handler = id;
             h_pc = pc;
-            h_mask = exec_mask };
+            h_mask = m };
         (* Device-API operations performed by the handler charged
            their cycle cost into the warp's scratch accumulator. *)
         latency := !latency + w.w_sassi_scratch;
@@ -744,9 +720,7 @@ let step sm w =
        Trace.Collector.emit c
          (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
             (Trace.Record.Warp_issue
-               { pc;
-                 op = Opcode.to_string i.Instr.op;
-                 active = nactive }));
+               { pc; op = d.Decode.name; active = nactive }));
        (* Anything beyond the baseline ALU latency keeps the warp out
           of the issue pool: record it as a stall span. *)
        if !latency > cfg.Config.lat_alu then
@@ -754,8 +728,7 @@ let step sm w =
            (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
               (Trace.Record.Warp_stall
                  { reason =
-                     (if Opcode.is_mem i.Instr.op then
-                        Trace.Record.Stall_memory
+                     (if d.Decode.mem then Trace.Record.Stall_memory
                       else Trace.Record.Stall_exec);
                    cycles = !latency }))
      end);
@@ -765,7 +738,6 @@ let step sm w =
      no sampler is installed. *)
   (match sm.sm_sampler with
    | None -> ()
-   | Some _ ->
-     w.w_stall_code <- (if Opcode.is_mem i.Instr.op then 1 else 0));
+   | Some _ -> w.w_stall_code <- (if d.Decode.mem then 1 else 0));
   if w.w_status = W_ready then
     w.w_ready_at <- sm.sm_cycle + !latency

@@ -8,11 +8,14 @@
     path; an entry pops when its PC reaches its reconvergence PC. *)
 
 val step : State.sm -> State.warp -> unit
-(** Executes the instruction at the warp's current PC. Updates the
-    warp's divergence stack, status, ready time, the SM cycle
-    bookkeeping, and the launch statistics.
+(** Executes the instruction at the warp's current PC, from the
+    launch's decoded kernel. Updates the warp's divergence stack,
+    status, ready time, the SM cycle bookkeeping, and the launch
+    statistics. An ALU step allocates nothing.
 
     @raise Trap.Memory_fault on an out-of-bounds or misaligned access.
+    @raise Invalid_argument if the instruction lacks an operand its
+    opcode needs ({!Decode.instr}'s [fault]).
     @raise Trap.Device_assert if an [HCALL] executes with no handler
     runtime installed. *)
 

@@ -1,6 +1,12 @@
-(** Flat byte-addressed memory with little-endian multi-byte access.
-    Used for global memory, shared memory, local (stack) memory, and
-    the kernel-parameter constant bank. *)
+(** Byte-addressed memory with little-endian multi-byte access. Used
+    for global memory, shared memory, local (stack) memory, and the
+    kernel-parameter constant bank.
+
+    The bytes live in 4 KiB pages that materialize on first write;
+    until then a page aliases one shared zero page, so creating a large
+    memory costs only its page table. First touch takes a lock, so
+    domains writing disjoint words of one untouched page never lose a
+    write; every other access is lock-free. *)
 
 type t
 
@@ -28,3 +34,4 @@ val blit_from_bytes : t -> dst:int -> Bytes.t -> unit
 val blit_to_bytes : t -> src:int -> Bytes.t -> unit
 
 val fill : t -> pos:int -> len:int -> char -> unit
+(** Filling with ['\000'] leaves untouched pages untouched. *)

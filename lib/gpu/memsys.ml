@@ -1,19 +1,29 @@
-(* Per-SM observation slot: trace/telemetry context and sinks, plus
-   the shared-memory bank-conflict scratch. Keeping all of it per-SM
-   (instead of ambient on [t]) is what lets SMs run on separate
-   domains without clobbering each other's stamps, and what makes the
-   hot shared-access path allocation-free. *)
+type result = {
+  mutable transactions : int;
+  mutable latency : int;
+}
+
+(* Per-SM slot: trace/telemetry context and sinks, plus the access
+   scratch. Keeping all of it per-SM (instead of ambient on [t]) is what
+   lets SMs run on separate domains without clobbering each other's
+   stamps, and what makes the access paths allocation-free. *)
 type slot = {
   mutable sl_sink : Trace.Collector.t option;
   mutable sl_cycle : int;
   mutable sl_warp : int;
   mutable sl_tm : tm_sink option;
-  (* shared_access scratch: unique words seen this call (a warp has at
-     most 32 lanes) and per-bank unique-word counts. Both are reset by
-     replaying the unique-word list, so no 32-wide clear is needed
-     between calls and nothing is allocated. *)
-  sa_words : int array;
-  sa_bank_count : int array;
+  (* The caller's per-lane byte addresses for the next access. *)
+  sl_lanes : int array;
+  (* The access's unique lines, ascending. *)
+  sl_lines : int array;
+  (* Distinct shared-memory words or atomic addresses of the access,
+     bucketed by their low five bits (a word's bank): bucket [b] holds
+     [sl_bucket_count.(b)] values at [sl_buckets.(32 * b ..)]. The
+     counts are zeroed again after each access. *)
+  sl_buckets : int array;
+  sl_bucket_count : int array;
+  mutable sl_widest : int;  (* the largest bucket of the last access *)
+  sl_result : result;
 }
 
 and tm_sink = {
@@ -39,42 +49,47 @@ type t = {
   mutable tm_sink : tm_sink option;
 }
 
-type result = {
-  transactions : int;
-  latency : int;
-}
-
 let global_window = 0
 
 let local_window = 1 lsl 40
 
 let texture_window = 1 lsl 41
 
+(* Lines one access of [bytes] can touch, at most. *)
+let max_lines ~line_bytes bytes = ((bytes - 1) / line_bytes) + 2
+
 let create (cfg : Config.t) =
   let num_sms = cfg.Config.num_sms in
+  let line_bytes = cfg.Config.line_bytes in
   { cfg;
     l1s =
       Array.init num_sms (fun i ->
           Cache.create
             ~name:(Printf.sprintf "L1[%d]" i)
             ~size_bytes:cfg.Config.l1_bytes ~assoc:cfg.Config.l1_assoc
-            ~line_bytes:cfg.Config.line_bytes);
+            ~line_bytes);
     l2s =
       Array.init num_sms (fun i ->
           Cache.create
             ~name:(Printf.sprintf "L2[%d]" i)
             ~size_bytes:(cfg.Config.l2_bytes / num_sms)
-            ~assoc:cfg.Config.l2_assoc ~line_bytes:cfg.Config.line_bytes);
+            ~assoc:cfg.Config.l2_assoc ~line_bytes);
     slots =
       Array.init num_sms (fun _ ->
           { sl_sink = None;
             sl_cycle = 0;
             sl_warp = -1;
             sl_tm = None;
-            sa_words = Array.make 32 0;
-            sa_bank_count = Array.make 32 0 });
+            sl_lanes = Array.make 32 0;
+            sl_lines = Array.make (32 * max_lines ~line_bytes 8) 0;
+            sl_buckets = Array.make (32 * 32) 0;
+            sl_bucket_count = Array.make 32 0;
+            sl_widest = 0;
+            sl_result = { transactions = 0; latency = 0 } });
     tr_sink = None;
     tm_sink = None }
+
+let lanes t ~sm = t.slots.(sm).sl_lanes
 
 let set_trace_sink t sink =
   t.tr_sink <- sink;
@@ -117,19 +132,38 @@ let trace_probe t ~sm ~level ~hit =
       (Trace.Record.make ~cycle:sl.sl_cycle ~sm ~warp:sl.sl_warp
          (Trace.Record.Cache_access { level; hit }))
 
+(* --- Coalescing ----------------------------------------------------------- *)
+
+(* Insert the lines [addr, addr + bytes) covers into the ascending,
+   duplicate-free prefix [lines.(0 .. n-1)] and return its new length.
+   Lanes mostly ascend, so the scan from the end usually stops at
+   once. *)
+let add_lines lines n ~line_bytes ~addr ~bytes =
+  let n = ref n in
+  for l = addr / line_bytes to (addr + bytes - 1) / line_bytes do
+    let i = ref (!n - 1) in
+    while !i >= 0 && Array.unsafe_get lines !i > l do decr i done;
+    if !i < 0 || Array.unsafe_get lines !i <> l then begin
+      Array.blit lines (!i + 1) lines (!i + 2) (!n - !i - 1);
+      lines.(!i + 1) <- l;
+      incr n
+    end
+  done;
+  !n
+
 let coalesce ~line_bytes pairs =
-  (* A warp contributes at most 32 accesses, so a small-list dedup
-     beats a hash table by a wide margin on this hot path. *)
-  let lines = ref [] in
-  List.iter
-    (fun (addr, width) ->
-       let first = addr / line_bytes in
-       let last = (addr + width - 1) / line_bytes in
-       for l = first to last do
-         if not (List.mem l !lines) then lines := l :: !lines
-       done)
-    pairs;
-  List.sort Int.compare !lines
+  let cap =
+    List.fold_left (fun a (_, w) -> a + max_lines ~line_bytes w) 0 pairs
+  in
+  let lines = Array.make cap 0 in
+  let n =
+    List.fold_left
+      (fun n (addr, bytes) -> add_lines lines n ~line_bytes ~addr ~bytes)
+      0 pairs
+  in
+  Array.to_list (Array.sub lines 0 n)
+
+(* --- Timing --------------------------------------------------------------- *)
 
 let line_latency t ~sm line_addr stats =
   let cfg = t.cfg in
@@ -151,87 +185,105 @@ let line_latency t ~sm line_addr stats =
        trace_probe t ~sm ~level:Trace.Record.L2 ~hit:false;
        cfg.Config.lat_dram)
 
-let global_access t ~sm ~stats pairs =
-  let cfg = t.cfg in
-  let lines = coalesce ~line_bytes:cfg.Config.line_bytes pairs in
-  let n = List.length lines in
+let probe t ~sm ~stats line worst =
+  let lat = line_latency t ~sm (line * t.cfg.Config.line_bytes) stats in
+  if lat > worst then lat else worst
+
+(* The warp waits for its slowest line; transactions beyond the first
+   serialize at the L1. *)
+let settle t ~sm ~stats ~n ~worst =
   stats.Stats.global_transactions <- stats.Stats.global_transactions + n;
-  let worst =
-    List.fold_left
-      (fun acc l ->
-         max acc (line_latency t ~sm (l * cfg.Config.line_bytes) stats))
-      0 lines
-  in
-  (* Additional transactions beyond the first serialize at the L1. *)
-  let r = { transactions = n; latency = worst + (max 0 (n - 1)) * 2 } in
+  let r = t.slots.(sm).sl_result in
+  r.transactions <- n;
+  r.latency <- worst + (if n > 1 then (n - 1) * 2 else 0);
   observe_access t ~sm r;
   r
+
+(* The access paths index the lane scratch without bounds checks. *)
+let check_access fn sl ~n ~width =
+  if n < 0 || n > Array.length sl.sl_lanes || width < 1 || width > 8 then
+    invalid_arg fn
+
+let global_access t ~sm ~stats ~n ~width =
+  let sl = t.slots.(sm) in
+  check_access "Memsys.global_access" sl ~n ~width;
+  let line_bytes = t.cfg.Config.line_bytes in
+  let lines = sl.sl_lines in
+  let nl = ref 0 in
+  for k = 0 to n - 1 do
+    nl :=
+      add_lines lines !nl ~line_bytes
+        ~addr:(Array.unsafe_get sl.sl_lanes k) ~bytes:width
+  done;
+  let worst = ref 0 in
+  for k = 0 to !nl - 1 do
+    worst := probe t ~sm ~stats (Array.unsafe_get lines k) !worst
+  done;
+  settle t ~sm ~stats ~n:!nl ~worst:!worst
 
 (* Local-memory accesses at a uniform frame offset touch the
    contiguous physical range [first_phys, last_phys + width): the
    per-lane interleaving guarantees perfect coalescing, so the line
-   set is computed arithmetically instead of through the generic
-   coalescer. This is the hottest path under instrumentation (spill
-   and fill traffic of injected call sequences). *)
+   set is computed arithmetically instead of through the coalescer.
+   This is the hottest path under instrumentation (spill and fill
+   traffic of injected call sequences). *)
 let contiguous_access t ~sm ~stats ~first_phys ~last_phys ~width =
-  let cfg = t.cfg in
-  let lb = cfg.Config.line_bytes in
+  let lb = t.cfg.Config.line_bytes in
   let first = first_phys / lb in
   let last = (last_phys + width - 1) / lb in
-  let n = last - first + 1 in
-  stats.Stats.global_transactions <- stats.Stats.global_transactions + n;
   let worst = ref 0 in
   for l = first to last do
-    let lat = line_latency t ~sm (l * lb) stats in
-    if lat > !worst then worst := lat
+    worst := probe t ~sm ~stats l !worst
   done;
-  let r = { transactions = n; latency = !worst + ((n - 1) * 2) } in
-  observe_access t ~sm r;
-  r
+  settle t ~sm ~stats ~n:(last - first + 1) ~worst:!worst
 
-let shared_access t ~sm ~stats addrs =
-  let cfg = t.cfg in
-  let sl = t.slots.(sm) in
-  (* 32 banks, 4-byte wide; same-word accesses broadcast. The scratch
-     arrays live in the per-SM slot, so this path allocates nothing
-     and is safe under sharding. Bank counts are left at zero between
-     calls (the reset loop below), so no up-front clear is needed. *)
-  let n_words = ref 0 in
-  List.iter
-    (fun addr ->
-       let word = addr / 4 in
-       let seen = ref false in
-       for i = 0 to !n_words - 1 do
-         if sl.sa_words.(i) = word then seen := true
-       done;
-       if not !seen then begin
-         sl.sa_words.(!n_words) <- word;
-         incr n_words;
-         let bank = word mod 32 in
-         sl.sa_bank_count.(bank) <- sl.sa_bank_count.(bank) + 1
-       end)
-    addrs;
-  let conflict = ref 1 in
-  for i = 0 to !n_words - 1 do
-    let bank = sl.sa_words.(i) mod 32 in
-    if sl.sa_bank_count.(bank) > !conflict then
-      conflict := sl.sa_bank_count.(bank);
-    sl.sa_bank_count.(bank) <- 0
+(* Bucket the distinct values of [lanes.(k) asr shift] for [k < n];
+   returns how many there are and leaves the largest bucket's size in
+   [sl_widest]. *)
+let distinct sl ~n ~shift =
+  let count = sl.sl_bucket_count and buckets = sl.sl_buckets in
+  let total = ref 0 and widest = ref 0 in
+  for k = 0 to n - 1 do
+    let v = Array.unsafe_get sl.sl_lanes k asr shift in
+    let b = v land 31 in
+    let c = Array.unsafe_get count b in
+    let i = ref 0 in
+    while !i < c && Array.unsafe_get buckets ((b lsl 5) + !i) <> v do
+      incr i
+    done;
+    if !i = c then begin
+      Array.unsafe_set buckets ((b lsl 5) + c) v;
+      Array.unsafe_set count b (c + 1);
+      incr total;
+      if c + 1 > !widest then widest := c + 1
+    end
   done;
-  let conflict = !conflict in
+  for k = 0 to n - 1 do
+    let v = Array.unsafe_get sl.sl_lanes k asr shift in
+    Array.unsafe_set count (v land 31) 0
+  done;
+  sl.sl_widest <- !widest;
+  !total
+
+let shared_access t ~sm ~stats ~n =
+  let sl = t.slots.(sm) in
+  check_access "Memsys.shared_access" sl ~n ~width:4;
+  (* 32 banks, 4-byte wide; same-word accesses broadcast, so the
+     conflict degree is the most distinct words any bank serves. *)
+  ignore (distinct sl ~n ~shift:2);
+  let conflict = if sl.sl_widest > 1 then sl.sl_widest else 1 in
   stats.Stats.shared_accesses <- stats.Stats.shared_accesses + 1;
   stats.Stats.shared_conflicts <- stats.Stats.shared_conflicts + (conflict - 1);
-  { transactions = conflict;
-    latency = cfg.Config.lat_shared * conflict }
+  let r = sl.sl_result in
+  r.transactions <- conflict;
+  r.latency <- t.cfg.Config.lat_shared * conflict;
+  r
 
-let atomic_access t ~sm ~stats pairs =
-  let cfg = t.cfg in
-  let base = global_access t ~sm ~stats pairs in
-  let unique_addrs =
-    List.sort_uniq Int.compare (List.map fst pairs) |> List.length
-  in
-  { transactions = base.transactions;
-    latency = base.latency + (cfg.Config.lat_atomic * unique_addrs) }
+let atomic_access t ~sm ~stats ~n ~width =
+  let r = global_access t ~sm ~stats ~n ~width in
+  let unique = distinct t.slots.(sm) ~n ~shift:0 in
+  r.latency <- r.latency + (t.cfg.Config.lat_atomic * unique);
+  r
 
 let l1_stats t ~sm = (Cache.hits t.l1s.(sm), Cache.misses t.l1s.(sm))
 

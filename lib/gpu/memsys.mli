@@ -11,9 +11,12 @@
 type t
 
 type result = {
-  transactions : int;  (** memory transactions after coalescing *)
-  latency : int;  (** cycles until the warp's slowest request returns *)
+  mutable transactions : int;  (** memory transactions after coalescing *)
+  mutable latency : int;
+      (** cycles until the warp's slowest request returns *)
 }
+(** The access functions return their SM's own result record, which
+    the SM's next access overwrites: read it before issuing another. *)
 
 val create : Config.t -> t
 
@@ -24,16 +27,25 @@ val local_window : int
 
 val texture_window : int
 
+val lanes : t -> sm:int -> int array
+(** The SM's 32-entry lane-address array: a caller writes the physical
+    byte address of each participating lane into entries [0 .. n-1]
+    and then calls {!global_access}, {!shared_access} or
+    {!atomic_access} with [~n]. Lane order does not matter. *)
+
 val coalesce : line_bytes:int -> (int * int) list -> int list
-(** [coalesce ~line_bytes addr_width_pairs] returns the sorted list of
-    unique line addresses touched — the coalescer the paper's memory
-    divergence study measures. *)
+(** [coalesce ~line_bytes addr_width_pairs] returns the ascending list
+    of unique line addresses touched — the coalescer the paper's memory
+    divergence study measures. The same code as {!global_access}'s,
+    over a list. *)
 
 val global_access :
-  t -> sm:int -> stats:Stats.t -> (int * int) list -> result
-(** Coalesced access for one warp: list of (physical address, width in
-    bytes) pairs, one per active lane. Updates cache and transaction
-    statistics. *)
+  t -> sm:int -> stats:Stats.t -> n:int -> width:int -> result
+(** Coalesced access for one warp: the first [n] entries of {!lanes},
+    each [width] bytes. Updates cache and transaction statistics.
+    @raise Invalid_argument unless [0 <= n <= 32] and
+    [1 <= width <= 8]; likewise {!shared_access} and
+    {!atomic_access}. *)
 
 val contiguous_access :
   t -> sm:int -> stats:Stats.t -> first_phys:int -> last_phys:int ->
@@ -41,17 +53,16 @@ val contiguous_access :
 (** Fast path for accesses known to cover a contiguous physical range
     (per-lane-interleaved local memory at a uniform frame offset):
     equivalent to {!global_access} over that range but without
-    materializing per-lane pairs. *)
+    filling per-lane addresses. *)
 
-val shared_access : t -> sm:int -> stats:Stats.t -> int list -> result
-(** Shared-memory access with 32-bank conflict modeling; the input is
-    the per-lane byte addresses. Identical addresses broadcast. Uses
-    per-SM scratch (allocation-free, shard-safe). *)
+val shared_access : t -> sm:int -> stats:Stats.t -> n:int -> result
+(** Shared-memory access with 32-bank conflict modeling over the first
+    [n] entries of {!lanes} (byte addresses). Identical words
+    broadcast. *)
 
 val atomic_access :
-  t -> sm:int -> stats:Stats.t -> (int * int) list -> result
-(** Atomics serialize per unique address on top of the transaction
-    cost. *)
+  t -> sm:int -> stats:Stats.t -> n:int -> width:int -> result
+(** {!global_access}, plus serialization per unique address. *)
 
 val l1_stats : t -> sm:int -> int * int
 (** (hits, misses) of one SM's L1 since creation. *)

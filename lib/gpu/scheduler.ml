@@ -18,12 +18,14 @@ let make_block launch flat =
       b_arrived = 0;
       b_alive = nwarps }
   in
+  let nregs = launch.l_code.Decode.regs in
   let make_warp wid =
     let w =
       { w_id = wid;
         w_block = block;
-        w_regs = Array.make (warp_size * 256) 0;
-        w_preds = Array.make (warp_size * 7) false;
+        w_regs = Array.make (warp_size * nregs) 0;
+        w_nregs = nregs;
+        w_preds = Array.make warp_size pt_bit;
         w_local =
           Memory.create ~space:Sass.Opcode.Local
             (max 4 (warp_size * frame));
@@ -117,25 +119,35 @@ let run_sm_wave sm =
   let launch = sm.sm_launch in
   let dev = launch.l_device in
   let cfg = dev.d_cfg in
-  let n = Array.length sm.sm_warps in
+  let warps = sm.sm_warps in
+  let n = Array.length warps in
   let alive = ref 0 in
-  Array.iter (fun w -> if w.w_status <> W_done then incr alive) sm.sm_warps;
+  Array.iter (fun w -> if w.w_status <> W_done then incr alive) warps;
   while !alive > 0 do
     if sm.sm_cycle > cfg.Config.max_cycles then
       raise (Trap.Hang { cycles = sm.sm_cycle });
-    (* Round-robin pick of a ready warp. *)
-    let found = ref (-1) in
-    let k = ref 0 in
-    while !found < 0 && !k < n do
-      let idx = (sm.sm_rr + !k) mod n in
-      let w = sm.sm_warps.(idx) in
-      if w.w_status = W_ready && w.w_ready_at <= sm.sm_cycle then found := idx;
-      incr k
+    (* One pass from the round-robin pointer: the first ready warp, or
+       failing that the earliest wake-up among the waiting ones. *)
+    let cycle = sm.sm_cycle in
+    let found = ref (-1) and next = ref max_int in
+    let idx = ref sm.sm_rr and left = ref n in
+    while !left > 0 do
+      let w = Array.unsafe_get warps !idx in
+      if w.w_status = W_ready then begin
+        if w.w_ready_at <= cycle then begin
+          found := !idx;
+          left := 0
+        end
+        else if w.w_ready_at < !next then next := w.w_ready_at
+      end;
+      decr left;
+      incr idx;
+      if !idx = n then idx := 0
     done;
     if !found >= 0 then begin
       let idx = !found in
-      sm.sm_rr <- (idx + 1) mod n;
-      let w = sm.sm_warps.(idx) in
+      sm.sm_rr <- (if idx + 1 = n then 0 else idx + 1);
+      let w = warps.(idx) in
       Exec.step sm w;
       (* Only the stepped warp itself can retire during its own step
          (barrier release only moves W_barrier -> W_ready), so a
@@ -147,33 +159,22 @@ let run_sm_wave sm =
       spend_sample_credit sm 1;
       telemetry_tick dev sm
     end
+    else if !next = max_int then begin
+      (* All remaining warps wait at a barrier that can never be
+         released: a deadlock, reported as a hang. *)
+      if Array.exists (fun w -> w.w_status <> W_done) warps then
+        raise (Trap.Hang { cycles = sm.sm_cycle })
+      else alive := 0
+    end
     else begin
-      (* Nobody ready: advance to the next wakeup. *)
-      let next = ref max_int in
-      Array.iter
-        (fun w ->
-           if w.w_status = W_ready && w.w_ready_at < !next then
-             next := w.w_ready_at)
-        sm.sm_warps;
-      if !next = max_int then begin
-        (* All remaining warps wait at a barrier that can never be
-           released: a deadlock, reported as a hang. *)
-        let still_alive =
-          Array.exists (fun w -> w.w_status <> W_done) sm.sm_warps
-        in
-        if still_alive then raise (Trap.Hang { cycles = sm.sm_cycle })
-        else alive := 0
-      end
-      else begin
-        let before = sm.sm_cycle in
-        sm.sm_cycle <- max (sm.sm_cycle + 1) !next;
-        (* Idle cycles are unissued slots: they count toward the
-           sampling period so stall-heavy phases are sampled at the
-           same rate as busy ones. *)
-        spend_sample_credit sm
-          ((sm.sm_cycle - before) * cfg.Config.issue_width);
-        telemetry_tick dev sm
-      end
+      (* Nobody ready: advance to the next wakeup. Idle cycles are
+         unissued slots: they count toward the sampling period so
+         stall-heavy phases are sampled at the same rate as busy
+         ones. *)
+      let before = sm.sm_cycle in
+      sm.sm_cycle <- max (sm.sm_cycle + 1) !next;
+      spend_sample_credit sm ((sm.sm_cycle - before) * cfg.Config.issue_width);
+      telemetry_tick dev sm
     end
   done
 
@@ -189,7 +190,9 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
   let cfg = dev.d_cfg in
   let sm =
     { sm_id; sm_launch = launch; sm_cycle = 0; sm_issued = 0;
-      sm_warps = [||]; sm_rr = 0; sm_stats = stats; sm_tracer = tracer;
+      sm_warps = [||]; sm_rr = 0;
+      sm_operands = Array.make launch.l_code.Decode.operands 0;
+      sm_stats = stats; sm_tracer = tracer;
       sm_telemetry = telemetry; sm_sampler = sampler }
   in
   (* Each SM starts with a full sampling period. (Also applied on the
@@ -584,11 +587,11 @@ let run launch =
   let blocks_at_once =
     max 1 (cfg.Config.max_warps_per_sm / max 1 warps_per_block)
   in
-  (* Eligibility is a property of the (post-transform) kernel, not of
-     the domain setting: count fallbacks on every launch so the
-     counter — exported through telemetry — is byte-identical across
-     [--device-domains] values. *)
-  let eligible = shardable_kernel launch.l_kernel in
+  (* Eligibility is a property of the (post-transform) kernel, decided
+     once when the device decodes it, not of the domain setting: count
+     fallbacks on every launch so the counter — exported through
+     telemetry — is byte-identical across [--device-domains] values. *)
+  let eligible = launch.l_code.Decode.shardable in
   if not eligible then
     dev.d_sharding_fallbacks <- dev.d_sharding_fallbacks + 1;
   if dev.d_domains > 1 && eligible && cfg.Config.num_sms > 1 then

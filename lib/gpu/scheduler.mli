@@ -11,6 +11,12 @@
     cross-block atomics or SASSI handlers always take the sequential
     path (counted in [d_sharding_fallbacks]). *)
 
+val shardable_kernel : Sass.Program.kernel -> bool
+(** The sharding verdict for a post-transform kernel: no cross-block
+    atomics, handlers or calls, and no global load whose parameter
+    origin a global store shares. The device computes it once per
+    decoded kernel. *)
+
 val run : State.launch -> unit
 (** Runs the launch to completion and fills [l_stats.cycles] with the
     maximum SM cycle count (the kernel time).

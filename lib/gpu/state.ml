@@ -1,3 +1,12 @@
+(* Decoded kernels keyed by the physical instruction array they were
+   decoded from. *)
+module Code_table = Hashtbl.Make (struct
+    type t = Sass.Instr.t array
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
 type wstatus =
   | W_ready
   | W_barrier
@@ -13,7 +22,8 @@ type warp = {
   w_id : int;
   w_block : block;
   w_regs : int array;
-  w_preds : bool array;
+  w_nregs : int;
+  w_preds : int array;
   w_local : Memory.t;
   mutable w_stack : stack_entry list;
   mutable w_call_stack : int list;
@@ -41,6 +51,7 @@ and sm = {
   mutable sm_issued : int;
   mutable sm_warps : warp array;
   mutable sm_rr : int;
+  sm_operands : int array;
   (* Per-SM observation context. In sequential mode these alias the
      launch/device-level objects; under device sharding each SM gets
      private instances, merged back in [sm_id] order at launch end so
@@ -57,6 +68,7 @@ and sm = {
 and launch = {
   l_device : device;
   l_kernel : Sass.Program.kernel;
+  l_code : Decode.kernel;
   l_grid_x : int;
   l_grid_y : int;
   l_block_x : int;
@@ -75,6 +87,7 @@ and device = {
   mutable d_transform : transform option;
   mutable d_transform_gen : int;
   d_kernel_cache : (string * int, Sass.Program.kernel) Hashtbl.t;
+  d_decoded : Decode.kernel Code_table.t;
   mutable d_launch_cbs : (int * (launch -> unit)) list;
   mutable d_exit_cbs : (int * (launch -> unit)) list;
   mutable d_cb_next : int;
@@ -141,29 +154,51 @@ let warp_size = 32
 
 let full_mask = 0xFFFFFFFF
 
+(* Lane [l]'s registers are [w_regs.(l * w_nregs) ..]; the file holds
+   only the registers the kernel names. RZ (index 255) lies beyond every
+   file, so it reads 0 and its writes are dropped. *)
+let[@inline never] reg_fault w r =
+  if r <> 255 then raise (Trap.Register_fault { reg = r; regs = w.w_nregs })
+
+let reg_read w lane r =
+  if r < w.w_nregs then Array.unsafe_get w.w_regs ((lane * w.w_nregs) + r)
+  else 0
+
+let reg_write w lane r v =
+  if r < w.w_nregs then
+    Array.unsafe_set w.w_regs ((lane * w.w_nregs) + r) (v land Value.mask)
+  else reg_fault w r
+
+(* One predicate word per lane: bit [p] is P[p], and bit 7, PT, is
+   always set and never written. *)
+let pt_bit = 0x80
+
+let pred_read w lane p = Array.unsafe_get w.w_preds lane land (1 lsl p) <> 0
+
+let pred_write w lane p v =
+  if p < 7 then begin
+    let x = Array.unsafe_get w.w_preds lane in
+    Array.unsafe_set w.w_preds lane
+      (if v then x lor (1 lsl p) else x land lnot (1 lsl p))
+  end
+
+(* The accessors above index without bounds checks, for the
+   interpreter's 0..31 lane loops; these are the checked public ones. *)
+let checked fn lane index =
+  if lane < 0 || lane >= warp_size || index < 0 then invalid_arg fn;
+  index
+
 let reg_get w ~lane r =
-  match r with
-  | Sass.Reg.RZ -> 0
-  | Sass.Reg.R i -> w.w_regs.((lane lsl 8) + i)
+  reg_read w lane (checked "State.reg_get" lane (Sass.Reg.index r))
 
 let reg_set w ~lane r v =
-  match r with
-  | Sass.Reg.RZ -> ()
-  | Sass.Reg.R i -> w.w_regs.((lane lsl 8) + i) <- v land Value.mask
+  reg_write w lane (checked "State.reg_set" lane (Sass.Reg.index r)) v
 
 let pred_get w ~lane p =
-  match p with
-  | Sass.Pred.PT -> true
-  | Sass.Pred.P i -> w.w_preds.((lane * 7) + i)
+  pred_read w lane (checked "State.pred_get" lane (Sass.Pred.index p))
 
 let pred_set w ~lane p v =
-  match p with
-  | Sass.Pred.PT -> ()
-  | Sass.Pred.P i -> w.w_preds.((lane * 7) + i) <- v
-
-let guard_passes w ~lane (g : Sass.Pred.guard) =
-  let v = pred_get w ~lane g.Sass.Pred.pred in
-  if g.Sass.Pred.negated then not v else v
+  pred_write w lane (checked "State.pred_set" lane (Sass.Pred.index p)) v
 
 let tos w =
   match w.w_stack with

@@ -3,6 +3,10 @@
     ({!Exec}), the scheduler ({!Scheduler}), the device API
     ({!Device}) and the SASSI runtime all manipulate them directly. *)
 
+(** Hash table keyed by the physical identity of an instruction
+    array. *)
+module Code_table : Hashtbl.S with type key = Sass.Instr.t array
+
 type wstatus =
   | W_ready
   | W_barrier
@@ -20,8 +24,11 @@ type stack_entry = {
 type warp = {
   w_id : int;  (** warp index within its block *)
   w_block : block;
-  w_regs : int array;  (** 32 lanes x 256 registers *)
-  w_preds : bool array;  (** 32 lanes x 7 predicates *)
+  w_regs : int array;  (** 32 lanes x [w_nregs] registers *)
+  w_nregs : int;  (** registers per lane: the decoded kernel's [regs] *)
+  w_preds : int array;
+      (** one word per lane: bit [p] is P[p] (0-6); bit 7, PT, is
+          always set *)
   w_local : Memory.t;  (** per-thread stack frames, lane-contiguous *)
   mutable w_stack : stack_entry list;  (** head = top of stack *)
   mutable w_call_stack : int list;  (** warp-uniform return PCs *)
@@ -53,6 +60,9 @@ and sm = {
   mutable sm_issued : int;
   mutable sm_warps : warp array;  (** resident warps *)
   mutable sm_rr : int;  (** round-robin scheduling pointer *)
+  sm_operands : int array;
+      (** the interpreter's per-step scratch: parameter operands, read
+          once per step, by source position *)
   sm_stats : Stats.t;
       (** the SM's statistics accumulator. Sequential mode: aliases
           [l_stats]. Sharded mode: private, reduced into [l_stats]
@@ -73,6 +83,7 @@ and sm = {
 and launch = {
   l_device : device;
   l_kernel : Sass.Program.kernel;
+  l_code : Decode.kernel;  (** [l_kernel], decoded once per device *)
   l_grid_x : int;
   l_grid_y : int;
   l_block_x : int;
@@ -91,6 +102,8 @@ and device = {
   mutable d_transform : transform option;
   mutable d_transform_gen : int;
   d_kernel_cache : (string * int, Sass.Program.kernel) Hashtbl.t;
+  d_decoded : Decode.kernel Code_table.t;
+      (** decoded post-transform kernels, keyed by instruction array *)
   mutable d_launch_cbs : (int * (launch -> unit)) list;
   mutable d_exit_cbs : (int * (launch -> unit)) list;
   mutable d_cb_next : int;
@@ -189,17 +202,40 @@ val warp_size : int
 
 val full_mask : int
 
-(** {1 Register file access} *)
+(** {1 Register file access}
+
+    Each warp's file holds [w_nregs] registers per lane. A read beyond
+    it returns 0, as an unwritten register does; a write beyond it
+    raises {!Trap.Register_fault}, except to [RZ], which is dropped. *)
+
+val reg_read : warp -> int -> int -> int
+(** [reg_read w lane index]. [lane] must lie in [0 .. warp_size - 1]:
+    it is not checked. The four unchecked accessors serve the
+    interpreter's lane loops; other callers use {!reg_get} and its
+    siblings. *)
+
+val reg_write : warp -> int -> int -> int -> unit
+(** [reg_write w lane index v]. *)
+
+val pred_read : warp -> int -> int -> bool
+(** [pred_read w lane index]; index 7 ([PT]) reads true. *)
+
+val pred_write : warp -> int -> int -> bool -> unit
+(** Writes to index 7 ([PT]) are dropped. *)
+
+val pt_bit : int
+(** The always-set [PT] bit of a lane's predicate word. *)
 
 val reg_get : warp -> lane:int -> Sass.Reg.t -> int
+(** @raise Invalid_argument unless [0 <= lane < warp_size] and the
+    register index is non-negative; likewise {!reg_set}, {!pred_get}
+    and {!pred_set}. *)
 
 val reg_set : warp -> lane:int -> Sass.Reg.t -> int -> unit
 
 val pred_get : warp -> lane:int -> Sass.Pred.t -> bool
 
 val pred_set : warp -> lane:int -> Sass.Pred.t -> bool -> unit
-
-val guard_passes : warp -> lane:int -> Sass.Pred.guard -> bool
 
 (** {1 Divergence stack} *)
 

@@ -201,16 +201,29 @@ let merge ~into t =
       set into (if String.equal name "cycles" then max cur v else cur + v))
     pairs
 
-let count_instr t op ~active_lanes =
+let c_mem = 1
+let c_ctrl = 2
+let c_sync = 4
+let c_numeric = 8
+let c_texture = 16
+let c_spill = 32
+
+let classes op =
   let open Sass.Opcode in
+  let bit b c = if b then c else 0 in
+  bit (is_mem op) c_mem lor bit (is_control op) c_ctrl
+  lor bit (is_sync op) c_sync lor bit (is_numeric op) c_numeric
+  lor bit (is_texture op) c_texture lor bit (is_spill_or_fill op) c_spill
+
+let count_instr t ~classes ~active_lanes =
   t.warp_instrs <- t.warp_instrs + 1;
   t.thread_instrs <- t.thread_instrs + active_lanes;
-  if is_mem op then t.mem_instrs <- t.mem_instrs + 1;
-  if is_control op then t.ctrl_instrs <- t.ctrl_instrs + 1;
-  if is_sync op then t.sync_instrs <- t.sync_instrs + 1;
-  if is_numeric op then t.numeric_instrs <- t.numeric_instrs + 1;
-  if is_texture op then t.texture_instrs <- t.texture_instrs + 1;
-  if is_spill_or_fill op then t.spill_instrs <- t.spill_instrs + 1
+  if classes land c_mem <> 0 then t.mem_instrs <- t.mem_instrs + 1;
+  if classes land c_ctrl <> 0 then t.ctrl_instrs <- t.ctrl_instrs + 1;
+  if classes land c_sync <> 0 then t.sync_instrs <- t.sync_instrs + 1;
+  if classes land c_numeric <> 0 then t.numeric_instrs <- t.numeric_instrs + 1;
+  if classes land c_texture <> 0 then t.texture_instrs <- t.texture_instrs + 1;
+  if classes land c_spill <> 0 then t.spill_instrs <- t.spill_instrs + 1
 
 let pp ppf t =
   Format.pp_print_list

@@ -62,7 +62,12 @@ val merge : into:t -> t -> unit
     present in the record but missing from either list raises
     [Invalid_argument] instead of being silently dropped. *)
 
-val count_instr : t -> Sass.Opcode.t -> active_lanes:int -> unit
-(** Classify and count one issued warp instruction. *)
+val classes : Sass.Opcode.t -> int
+(** The counter classes of an opcode (memory, control, sync, numeric,
+    texture, spill/fill) as bits, computed once per decoded
+    instruction. *)
+
+val count_instr : t -> classes:int -> active_lanes:int -> unit
+(** Count one issued warp instruction of the given {!classes}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,6 +9,11 @@ exception Memory_fault of {
     kind : fault_kind;
   }
 
+exception Register_fault of {
+    reg : int;
+    regs : int;
+  }
+
 exception Hang of { cycles : int }
 
 exception Device_assert of string
@@ -25,6 +30,10 @@ let describe = function
          (fault_kind_to_string kind)
          (Format.asprintf "%a" Sass.Opcode.pp_space space)
          addr)
+  | Register_fault { reg; regs } ->
+    Some
+      (Printf.sprintf "register fault: write to R%d beyond a %d-register file"
+         reg regs)
   | Hang { cycles } -> Some (Printf.sprintf "hang after %d cycles" cycles)
   | Device_assert msg -> Some (Printf.sprintf "device assert: %s" msg)
   | _ -> None

@@ -13,6 +13,13 @@ exception Memory_fault of {
     kind : fault_kind;
   }
 
+exception Register_fault of {
+    reg : int;
+    regs : int;  (** the register file's size per lane *)
+  }
+(** A write to a register beyond the warp's register file, which holds
+    only the registers its kernel names. *)
+
 exception Hang of { cycles : int }
 (** The per-launch watchdog expired. *)
 

@@ -67,8 +67,11 @@ let brev a =
   !r
 
 let popc a =
-  let rec go a n = if a = 0 then n else go (a land (a - 1)) (n + 1) in
-  go (wrap a) 0
+  let a = wrap a in
+  let a = a - ((a lsr 1) land 0x55555555) in
+  let a = (a land 0x33333333) + ((a lsr 2) land 0x33333333) in
+  let a = (a + (a lsr 4)) land 0x0F0F0F0F in
+  ((a * 0x01010101) land mask) lsr 24
 
 let flo a =
   let a = wrap a in

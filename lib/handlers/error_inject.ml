@@ -204,7 +204,7 @@ let classify ~reference run =
     else if stdout <> ref_stdout then Sdc_stdout
     else Masked
   | exception Gpu.Trap.Hang _ -> Hang
-  | exception (Gpu.Trap.Memory_fault _ as e) ->
+  | exception ((Gpu.Trap.Memory_fault _ | Gpu.Trap.Register_fault _) as e) ->
     Crash (Option.value ~default:"memory fault" (Gpu.Trap.describe e))
   | exception Gpu.Trap.Device_assert m -> Failure_symptom m
   | exception Invalid_argument m -> Failure_symptom m

@@ -113,6 +113,17 @@ let run ~pool ?(trace_kinds = [ Cupti.Activity.Kernel ]) ?activity
     if njobs = 0 then
       Error (Printf.sprintf "campaign %s has no jobs" camp.Par.Campaign.c_name)
     else begin
+      (* A lone inject job would be one pool task running its
+         injections one after another. Its job task runs on the
+         calling thread instead (the CLI's main domain or the daemon's
+         scheduler thread, never a pool worker, which must not await):
+         it awaits the golden and profiling runs as one pool task, then
+         fans the injections out over the pool. The caller only waits,
+         so the daemon's HTTP threads, which share its domain, are not
+         held up by simulation. *)
+      let lone_inject =
+        njobs = 1 && jobs_arr.(0).Par.Campaign.j_kind = Par.Campaign.Inject
+      in
       let tasks =
         Array.mapi
           (fun i (j : Par.Campaign.job) ->
@@ -143,10 +154,18 @@ let run ~pool ?(trace_kinds = [ Cupti.Activity.Kernel ]) ?activity
                  in
                  (R_run r, records)
                | Par.Campaign.Inject ->
-                 ( R_inject
-                     (Workloads.Campaign.run_detailed ~seed:jseed
-                        ~injections:j.Par.Campaign.j_injections w ~variant),
-                   [] ))
+                 let injections = j.Par.Campaign.j_injections in
+                 let prepare () =
+                   Workloads.Campaign.prepare ~seed:jseed ~injections w
+                     ~variant
+                 in
+                 let detail =
+                   if lone_inject then
+                     Workloads.Campaign.inject ~pool
+                       (Par.Pool.await (Par.Pool.submit pool prepare))
+                   else Workloads.Campaign.inject (prepare ())
+                 in
+                 (R_inject detail, []))
           jobs_arr
       in
       let results, wall_time_s =
@@ -157,11 +176,18 @@ let run ~pool ?(trace_kinds = [ Cupti.Activity.Kernel ]) ?activity
               ("pool", Obs.Span.Int (Par.Pool.size pool)) ]
           ("campaign:" ^ camp.Par.Campaign.c_name)
         @@ fun () ->
-        Par.Campaign.run_tasks pool tasks ~on_result:(fun i (r, records) ->
-            (match activity with
-             | Some f when records <> [] -> f i records
-             | _ -> ());
-            on_result i r)
+        let on_result i (r, records) =
+          (match activity with
+           | Some f when records <> [] -> f i records
+           | _ -> ());
+          on_result i r
+        in
+        if lone_inject then begin
+          let r = tasks.(0) () in
+          on_result 0 r;
+          [| r |]
+        end
+        else Par.Campaign.run_tasks pool tasks ~on_result
       in
       let results = Array.map fst results in
       let merged =

@@ -38,14 +38,22 @@ type detail = {
 }
 
 (* The three-step flow. Steps 0-2 (golden run, profiling run, site
-   selection) are inherently sequential and run on the caller's
-   domain; step 3 is one independent device run per target, fanned out
-   over [pool] when given. Each injection task builds its own device
-   and handler state, so tasks share nothing; outcomes and stats are
-   joined in target order, making the parallel result bit-identical to
-   the sequential one. *)
-let run_detailed ?(cfg = Gpu.Config.default) ?(seed = 2025) ?pool ~injections
-    w ~variant =
+   selection) are inherently sequential and make one [plan]; step 3 is
+   one independent device run per target, fanned out over [pool] when
+   given. Each injection task builds its own device and handler state,
+   so tasks share nothing; outcomes and stats are joined in target
+   order, making the parallel result bit-identical to the sequential
+   one. *)
+type plan = {
+  p_cfg : Gpu.Config.t;
+  p_workload : Workload.t;
+  p_variant : string;
+  p_golden : string * string;
+  p_targets : Handlers.Error_inject.target list;
+}
+
+let prepare ?(cfg = Gpu.Config.default) ?(seed = 2025) ~injections w ~variant
+    =
   (* Step 0: golden reference. *)
   let golden =
     let dev = Gpu.Device.create ~cfg () in
@@ -61,16 +69,22 @@ let run_detailed ?(cfg = Gpu.Config.default) ?(seed = 2025) ?pool ~injections
       (fun _ -> w.Workload.run devp ~variant)
   in
   (* Step 2: statistical site selection on the host. *)
-  let targets =
-    Handlers.Error_inject.Profile.pick_targets profile ~seed ~n:injections
-  in
+  { p_cfg = cfg;
+    p_workload = w;
+    p_variant = variant;
+    p_golden = golden;
+    p_targets =
+      Handlers.Error_inject.Profile.pick_targets profile ~seed ~n:injections }
+
+let inject ?pool p =
+  let w = p.p_workload and variant = p.p_variant in
   (* Step 3: one injection per run, classify the outcome. *)
   let run_one target () =
     let injected = ref false in
     let stats = ref (Gpu.Stats.create ()) in
     let outcome =
-      Handlers.Error_inject.classify ~reference:golden (fun () ->
-          let dev = Gpu.Device.create ~cfg () in
+      Handlers.Error_inject.classify ~reference:p.p_golden (fun () ->
+          let dev = Gpu.Device.create ~cfg:p.p_cfg () in
           let r =
             Sassi.Runtime.with_instrumentation dev
               (Handlers.Error_inject.injection_pairs target ~injected)
@@ -83,14 +97,18 @@ let run_detailed ?(cfg = Gpu.Config.default) ?(seed = 2025) ?pool ~injections
   in
   let per_task =
     match pool with
-    | None -> Array.of_list (List.map (fun t -> run_one t ()) targets)
+    | None -> Array.of_list (List.map (fun t -> run_one t ()) p.p_targets)
     | Some pool ->
-      Par.Pool.map_ordered pool (fun t -> run_one t ()) (Array.of_list targets)
+      Par.Pool.map_ordered pool (fun t -> run_one t ())
+        (Array.of_list p.p_targets)
   in
   let outcomes = List.map fst (Array.to_list per_task) in
   { d_tally = tally_of_outcomes outcomes;
     d_outcomes = outcomes;
     d_stats = Par.Reduce.stats (Array.map snd per_task) }
+
+let run_detailed ?cfg ?seed ?pool ~injections w ~variant =
+  inject ?pool (prepare ?cfg ?seed ~injections w ~variant)
 
 let run ?cfg ?seed ?pool ~injections w ~variant =
   (run_detailed ?cfg ?seed ?pool ~injections w ~variant).d_tally

@@ -43,6 +43,28 @@ val run_detailed :
 (** [run] plus the per-target outcome list and the deterministic
     task-order merge of every injection run's device stats. *)
 
+(** {1 The flow in two halves} *)
+
+type plan
+(** Steps 0-2 done: the golden outputs and the chosen injection
+    targets. *)
+
+val prepare :
+  ?cfg:Gpu.Config.t ->
+  ?seed:int ->
+  injections:int ->
+  Workload.t ->
+  variant:string ->
+  plan
+(** The golden run, the profiling run and the site selection, on the
+    calling domain. *)
+
+val inject : ?pool:Par.Pool.t -> plan -> detail
+(** Step 3: one injection run per target, fanned out over [pool] when
+    given; [run_detailed] is [inject (prepare ...)]. With [pool] it
+    awaits the pool's futures, so it must then not run inside a pool
+    task. *)
+
 val tally_of_outcomes : Handlers.Error_inject.outcome list -> tally
 
 val pp : Format.formatter -> tally -> unit

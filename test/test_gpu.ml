@@ -634,11 +634,303 @@ let test_tld_clamping () =
   check Alcotest.int "in range" 101 result.(5);
   check Alcotest.int "clamped high" 107 result.(20)
 
+(* --- Paged memory ----------------------------------------------------- *)
+
+let page = 4096
+
+let test_paged_untouched_zero () =
+  let m = Gpu.Memory.create ~space:Opcode.Global (64 * page) in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun width ->
+          check Alcotest.int "untouched reads 0" 0 (Gpu.Memory.read m ~width a))
+        [ Opcode.W8; Opcode.W16; Opcode.W32; Opcode.W64 ])
+    [ 0; 100; page - 4; page - 7; (7 * page) + 3; (64 * page) - 8 ];
+  Gpu.Memory.write m ~width:Opcode.W32 (5 * page) 7;
+  check Alcotest.int "neighbour page still 0" 0
+    (Gpu.Memory.read m ~width:Opcode.W32 (6 * page));
+  let buf = Bytes.make (3 * page) 'x' in
+  Gpu.Memory.blit_to_bytes m ~src:(10 * page - 5) buf;
+  check Alcotest.bool "blit of untouched pages is zeros" true
+    (Bytes.for_all (fun c -> c = '\000') buf)
+
+(* Every width at every offset that straddles a page boundary
+   round-trips, and its bytes land little-endian on both pages. *)
+let test_paged_straddle () =
+  List.iter
+    (fun (width, bytes, v) ->
+      for k = 1 to bytes - 1 do
+        let m = Gpu.Memory.create ~space:Opcode.Global (4 * page) in
+        let a = (2 * page) - k in
+        Gpu.Memory.write m ~width a v;
+        check Alcotest.int
+          (Printf.sprintf "%d-byte value at page edge - %d" bytes k)
+          v (Gpu.Memory.read m ~width a);
+        for b = 0 to bytes - 1 do
+          check Alcotest.int "byte order" ((v lsr (8 * b)) land 0xFF)
+            (Gpu.Memory.read m ~width:Opcode.W8 (a + b))
+        done
+      done)
+    [ (Opcode.W16, 2, 0xBEEF);
+      (Opcode.W32, 4, 0xDEADBEEF);
+      (Opcode.W64, 8, 0x0123456789ABCDEF) ]
+
+let test_paged_bounds () =
+  let size = (3 * page) + 100 in
+  let m = Gpu.Memory.create ~space:Opcode.Global size in
+  List.iter
+    (fun (width, bytes) ->
+      Gpu.Memory.write m ~width (size - bytes) 1;
+      check Alcotest.int "last in-bounds access" 1
+        (Gpu.Memory.read m ~width (size - bytes));
+      List.iter
+        (fun access ->
+          match access (size - bytes + 1) with
+          | () -> Alcotest.fail "access past size accepted"
+          | exception Gpu.Trap.Memory_fault { addr; kind; _ } ->
+            check Alcotest.int "fault address" (size - bytes + 1) addr;
+            check Alcotest.bool "out of bounds" true
+              (kind = Gpu.Trap.Out_of_bounds))
+        [ (fun a -> ignore (Gpu.Memory.read m ~width a));
+          (fun a -> Gpu.Memory.write m ~width a 0) ])
+    [ (Opcode.W8, 1); (Opcode.W16, 2); (Opcode.W32, 4); (Opcode.W64, 8) ];
+  (match Gpu.Memory.fill m ~pos:(size - 10) ~len:11 'x' with
+   | () -> Alcotest.fail "fill past size accepted"
+   | exception Gpu.Trap.Memory_fault _ -> ())
+
+let test_paged_fill_blit () =
+  let m = Gpu.Memory.create ~space:Opcode.Global (8 * page) in
+  let src = Bytes.init (3 * page) (fun i -> Char.chr (i * 7 land 0xFF)) in
+  Gpu.Memory.blit_from_bytes m ~dst:(page + 10) src;
+  let back = Bytes.create (Bytes.length src) in
+  Gpu.Memory.blit_to_bytes m ~src:(page + 10) back;
+  check Alcotest.bool "blit round-trip across pages" true
+    (Bytes.equal src back);
+  Gpu.Memory.fill m ~pos:(page - 3) ~len:(2 * page) 'z';
+  let got = Bytes.create ((2 * page) + 6) in
+  Gpu.Memory.blit_to_bytes m ~src:(page - 6) got;
+  Bytes.iteri
+    (fun i c ->
+      if i >= 3 && i < (2 * page) + 3 && c <> 'z' then
+        Alcotest.failf "byte %d not filled" i)
+    got;
+  check Alcotest.char "after the fill" (Bytes.get src ((2 * page) - 13))
+    (Bytes.get got ((2 * page) + 3));
+  check Alcotest.char "before the fill" '\000' (Bytes.get got 0);
+  Gpu.Memory.fill m ~pos:0 ~len:(8 * page) '\000';
+  let all = Bytes.make (8 * page) 'x' in
+  Gpu.Memory.blit_to_bytes m ~src:0 all;
+  check Alcotest.bool "zero fill clears written pages" true
+    (Bytes.for_all (fun c -> c = '\000') all);
+  let big = Gpu.Memory.create ~space:Opcode.Global (256 * page) in
+  let before = Gc.allocated_bytes () in
+  Gpu.Memory.fill big ~pos:0 ~len:(256 * page) '\000';
+  check Alcotest.bool "zero fill of untouched pages materializes none" true
+    (Gc.allocated_bytes () -. before < float_of_int page)
+
+(* Two domains write disjoint words of one untouched page at once: the
+   first-touch path must hand both the same page, round after round. *)
+let test_paged_concurrent_first_touch () =
+  for round = 1 to 200 do
+    let m = Gpu.Memory.create ~space:Opcode.Global (4 * page) in
+    let go = Atomic.make false in
+    let writer parity () =
+      while not (Atomic.get go) do Domain.cpu_relax () done;
+      for w = 0 to (page / 4) - 1 do
+        if w land 1 = parity then
+          Gpu.Memory.write m ~width:Opcode.W32 (page + (4 * w)) (w + 1)
+      done
+    in
+    let d = Domain.spawn (writer 1) in
+    Atomic.set go true;
+    writer 0 ();
+    Domain.join d;
+    for w = 0 to (page / 4) - 1 do
+      let v = Gpu.Memory.read m ~width:Opcode.W32 (page + (4 * w)) in
+      if v <> w + 1 then Alcotest.failf "round %d: word %d lost (%d)" round w v
+    done
+  done
+
+let test_device_create_small () =
+  let before = Gc.allocated_bytes () in
+  let dev = Gpu.Device.create ~cfg:Gpu.Config.default () in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity dev);
+  if bytes >= 1048576. then
+    Alcotest.failf "Device.create allocated %.0f bytes (limit 1 MiB)" bytes
+
+(* --- Register files --------------------------------------------------- *)
+
+(* A stale [regs_used] must not size the register file: the run is
+   bit-identical to the [Program.make] build of the same instructions. *)
+let test_regs_from_instructions () =
+  let run k =
+    let dev = device () in
+    let n = 300 in
+    let a = Gpu.Device.malloc dev (4 * n) in
+    let b = Gpu.Device.malloc dev (4 * n) in
+    let out = Gpu.Device.malloc dev (4 * n) in
+    Gpu.Device.write_i32s dev ~addr:a (Array.init n (fun i -> i * 5));
+    Gpu.Device.write_i32s dev ~addr:b (Array.init n (fun i -> 7 - i));
+    let stats =
+      Gpu.Device.launch dev ~kernel:k ~grid:(3, 1) ~block:(128, 1)
+        ~args:[ Gpu.Device.Ptr a; Gpu.Device.Ptr b; Gpu.Device.Ptr out;
+                Gpu.Device.I32 n ]
+    in
+    (Gpu.Device.read_i32s dev ~addr:out ~n, Gpu.Stats.to_assoc stats)
+  in
+  let out, stats = run vadd_kernel in
+  let out', stats' = run { vadd_kernel with Program.regs_used = 2 } in
+  check Alcotest.(array int) "same output" out out';
+  check Alcotest.(list (pair string int)) "same counters" stats stats'
+
+let test_reg_set_beyond_file () =
+  let dev = device () in
+  let k = kernel "hcall_regs" [ i (Opcode.HCALL 0); i Opcode.EXIT ] in
+  let seen = ref [] in
+  Gpu.Device.set_hcall dev
+    (Some
+       (fun ctx ->
+         let w = ctx.Gpu.State.h_warp in
+         let outcome f =
+           match f () with
+           | () -> "ok"
+           | exception Gpu.Trap.Register_fault _ -> "trap"
+         in
+         let r1 = outcome (fun () -> Gpu.State.reg_set w ~lane:0 (r 1) 5) in
+         let r2 = outcome (fun () -> Gpu.State.reg_set w ~lane:31 (r 2) 5) in
+         let rz = outcome (fun () -> Gpu.State.reg_set w ~lane:0 Reg.RZ 5) in
+         seen :=
+           [ r1; r2; rz;
+             string_of_int (Gpu.State.reg_get w ~lane:3 (r 200));
+             string_of_int (Gpu.State.reg_get w ~lane:0 (r 1)) ]));
+  ignore (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1) ~args:[]);
+  check Alcotest.(list string) "R1 ok, R2 traps, RZ dropped, beyond reads 0"
+    [ "ok"; "trap"; "ok"; "0"; "5" ] !seen
+
+(* The public accessors check the lane (and the index) that the
+   interpreter's unchecked ones trust; so do the Memsys entry points
+   their lane count, and the decoder a register built below [Reg.r]'s
+   range. *)
+let test_checked_accessors () =
+  let dev = device () in
+  let k = kernel "hcall_lanes" [ i (Opcode.HCALL 0); i Opcode.EXIT ] in
+  let seen = ref [] in
+  let outcome f =
+    match f () with
+    | () -> "ok"
+    | exception Invalid_argument _ -> "invalid"
+  in
+  Gpu.Device.set_hcall dev
+    (Some
+       (fun ctx ->
+         let w = ctx.Gpu.State.h_warp in
+         let get lane () = ignore (Gpu.State.reg_get w ~lane (r 1)) in
+         seen :=
+           [ outcome (get 31);
+             outcome (get 32);
+             outcome (get (-1));
+             outcome (fun () -> Gpu.State.reg_set w ~lane:32 (r 1) 5);
+             outcome (fun () -> ignore (Gpu.State.reg_get w ~lane:0 (Reg.R (-1))));
+             outcome (fun () -> ignore (Gpu.State.pred_get w ~lane:32 Pred.PT));
+             outcome (fun () -> Gpu.State.pred_set w ~lane:(-1) (Pred.p 0) true) ]));
+  ignore (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1) ~args:[]);
+  check Alcotest.(list string) "only lane 31 of R1 is in range"
+    [ "ok"; "invalid"; "invalid"; "invalid"; "invalid"; "invalid"; "invalid" ]
+    !seen;
+  let mem = Gpu.Memsys.create Gpu.Config.default in
+  let stats = Gpu.Stats.create () in
+  let access f = outcome (fun () -> ignore (f ())) in
+  check Alcotest.(list string) "Memsys takes at most 32 lanes"
+    [ "ok"; "invalid"; "invalid"; "invalid"; "invalid" ]
+    [ access (fun () -> Gpu.Memsys.global_access mem ~sm:0 ~stats ~n:32 ~width:4);
+      access (fun () -> Gpu.Memsys.global_access mem ~sm:0 ~stats ~n:33 ~width:4);
+      access (fun () -> Gpu.Memsys.global_access mem ~sm:0 ~stats ~n:1 ~width:16);
+      access (fun () -> Gpu.Memsys.shared_access mem ~sm:0 ~stats ~n:33);
+      access (fun () ->
+          Gpu.Memsys.atomic_access mem ~sm:0 ~stats ~n:33 ~width:4) ];
+  let bad =
+    kernel "negative_reg"
+      [ i Opcode.MOV ~dsts:[ Reg.R (-1) ] ~srcs:[ imm 1 ]; i Opcode.EXIT ]
+  in
+  check Alcotest.string "negative register faults at issue" "invalid"
+    (outcome (fun () ->
+         ignore
+           (Gpu.Device.launch (device ()) ~kernel:bad ~grid:(1, 1)
+              ~block:(32, 1) ~args:[])))
+
+(* --- Allocation-free steps -------------------------------------------- *)
+
+(* Straight-line integer ALU code on one warp: a kernel twice as long
+   must allocate exactly as much, so a step allocates nothing. *)
+let test_alu_steps_allocate_nothing () =
+  let body n =
+    List.concat
+      (List.init n (fun k ->
+           match k mod 6 with
+           | 0 -> [ i Opcode.IADD ~dsts:[ r 2 ] ~srcs:[ sreg 2; imm 3 ] ]
+           | 1 ->
+             [ i Opcode.IMAD ~dsts:[ r 3 ] ~srcs:[ sreg 2; sreg 0; param 0 ] ]
+           | 2 ->
+             [ i (Opcode.LOP Opcode.L_xor) ~dsts:[ r 4 ]
+                 ~srcs:[ sreg 3; sreg 2 ] ]
+           | 3 -> [ i Opcode.SHL ~dsts:[ r 5 ] ~srcs:[ sreg 4; imm 1 ] ]
+           | 4 ->
+             [ i (Opcode.ISETP (Opcode.Lt, Opcode.Signed)) ~pdsts:[ Pred.p 0 ]
+                 ~srcs:[ sreg 5; sreg 2 ] ]
+           | _ -> [ i Opcode.MOV ~dsts:[ r 6 ] ~srcs:[ sreg 5 ] ]))
+  in
+  let k n =
+    kernel (Printf.sprintf "alu%d" n)
+      ((i (Opcode.S2R Opcode.Sr_tid_x) ~dsts:[ r 0 ] :: body n)
+       @ [ i Opcode.EXIT ])
+  in
+  let dev = device () in
+  let words k =
+    let launch () =
+      ignore
+        (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1)
+           ~args:[ Gpu.Device.I32 9 ])
+    in
+    launch ();
+    let before = Gc.minor_words () in
+    launch ();
+    Gc.minor_words () -. before
+  in
+  let kn = k 240 and k2n = k 480 in
+  let wn = words kn and w2n = words k2n in
+  check (Alcotest.float 0.) "minor words independent of ALU step count" wn w2n
+
 let extra_suite =
   ("gpu.isa-extra",
    [ Alcotest.test_case "CAL/RET" `Quick test_cal_ret;
      Alcotest.test_case "VOTE any/all pdst" `Quick test_vote_any_all_pdst;
      Alcotest.test_case "TLD clamping" `Quick test_tld_clamping ])
+
+let paged_suite =
+  [ ("gpu.paged-memory",
+     [ Alcotest.test_case "untouched pages read 0" `Quick
+         test_paged_untouched_zero;
+       Alcotest.test_case "straddling widths round-trip" `Quick
+         test_paged_straddle;
+       Alcotest.test_case "bounds trap at size" `Quick test_paged_bounds;
+       Alcotest.test_case "fill and blit across pages" `Quick
+         test_paged_fill_blit;
+       Alcotest.test_case "concurrent first touch" `Quick
+         test_paged_concurrent_first_touch;
+       Alcotest.test_case "device create under 1 MiB" `Quick
+         test_device_create_small ]);
+    ("gpu.register-file",
+     [ Alcotest.test_case "stale regs_used bit-identical" `Quick
+         test_regs_from_instructions;
+       Alcotest.test_case "reg_set beyond the file" `Quick
+         test_reg_set_beyond_file;
+       Alcotest.test_case "public accessors check lanes" `Quick
+         test_checked_accessors ]);
+    ("gpu.zero-alloc",
+     [ Alcotest.test_case "ALU steps allocate nothing" `Quick
+         test_alu_steps_allocate_nothing ]) ]
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -672,3 +964,4 @@ let suite =
        Alcotest.test_case "ragged block" `Quick test_ragged_block;
        Alcotest.test_case "many blocks" `Quick test_many_blocks ]);
     extra_suite ]
+  @ paged_suite

@@ -217,6 +217,29 @@ let test_runner_manifest_identity_across_widths () =
     [ "campaign"; "serve-test" ]
     a.Serve.Runner.o_manifest.Telemetry.Manifest.m_argv
 
+(* A one-job Inject campaign runs its golden and profiling runs as one
+   pool task and its injections as one pool task each, and its manifest
+   does not depend on the pool width. *)
+let test_runner_lone_inject_fans_out () =
+  let camp =
+    Par.Campaign.make ~name:"lone" ~seed:3
+      [ Par.Campaign.job ~variant:"small" ~kind:Par.Campaign.Inject
+          ~injections:4 "parboil/spmv" ]
+  in
+  let run domains =
+    Par.Pool.with_pool ~domains (fun pool ->
+        let before = (Par.Pool.stats pool).Par.Pool.s_tasks in
+        match Serve.Runner.run ~pool camp with
+        | Ok o -> (o, (Par.Pool.stats pool).Par.Pool.s_tasks - before)
+        | Error e -> Alcotest.fail e)
+  in
+  let a, _ = run 1 in
+  let b, tasks = run 2 in
+  check Alcotest.int "one preparation task, one per injection" 5 tasks;
+  check Alcotest.string "manifest bytes identical at widths 1 and 2"
+    (manifest_bytes a.Serve.Runner.o_manifest)
+    (manifest_bytes b.Serve.Runner.o_manifest)
+
 let test_runner_streams_activity_in_order () =
   let batches = ref [] in
   Par.Pool.with_pool ~domains:2 (fun pool ->
@@ -559,6 +582,8 @@ let suite =
          test_runner_manifest_identity_across_widths;
        Alcotest.test_case "activity streams in job order" `Slow
          test_runner_streams_activity_in_order;
+       Alcotest.test_case "lone inject job fans out" `Slow
+         test_runner_lone_inject_fans_out;
        Alcotest.test_case "errors returned, not raised" `Quick
          test_runner_errors_returned ]);
     ("serve.jobs",

@@ -120,22 +120,37 @@ let deterministic name w variant () =
   check Alcotest.string "same stdout" r1.Workloads.Workload.stdout
     r2.Workloads.Workload.stdout
 
-(* --- Smoke: every variant completes with sane stats ----------------------- *)
+(* --- Golden exact counters ------------------------------------------------ *)
+
+(* Every registry variant, and Value_profile plus the Section 9.1 stub
+   on two workloads, must reproduce the output digest, launch count and
+   every Gpu.Stats counter recorded in golden/counters.txt. The table
+   is written by golden/record_golden.exe and is regenerated only for a
+   deliberate change to the machine model. *)
+let golden_table =
+  lazy
+    (Golden.parse
+       (In_channel.with_open_bin "golden/counters.txt" In_channel.input_all))
+
+let check_golden jobs () =
+  let table = Lazy.force golden_table in
+  let drifts =
+    List.concat_map
+      (fun j ->
+        let fields = Golden.run j in
+        match List.assoc_opt (Golden.key j) table with
+        | None -> [ Golden.label j ^ ": no reference in golden/counters.txt" ]
+        | Some reference -> Golden.drifts j ~reference fields)
+      jobs
+  in
+  if drifts <> [] then
+    Alcotest.failf "%d drift(s) from the golden table:\n%s" (List.length drifts)
+      (String.concat "\n" drifts)
 
 let test_all_variants_smoke () =
-  List.iter
-    (fun w ->
-       List.iter
-         (fun variant ->
-            let r = run_wl w variant in
-            if r.Workloads.Workload.stats.Gpu.Stats.warp_instrs <= 0 then
-              Alcotest.failf "%s/%s %s: no instructions executed"
-                w.Workloads.Workload.suite w.Workloads.Workload.name variant;
-            if r.Workloads.Workload.launches <= 0 then
-              Alcotest.failf "%s/%s %s: no launches"
-                w.Workloads.Workload.suite w.Workloads.Workload.name variant)
-         w.Workloads.Workload.variants)
-    Workloads.Registry.all
+  check Alcotest.int "35 registry variants" 35
+    (List.length Golden.registry_jobs);
+  check_golden Golden.registry_jobs ()
 
 let test_registry_lookup () =
   check Alcotest.bool "28 workloads" true
@@ -221,4 +236,6 @@ let suite =
          (deterministic "mummergpu" Workloads.Wl_mummer.workload "default") ]);
     ("workloads.registry",
      [ Alcotest.test_case "lookup" `Quick test_registry_lookup;
-       Alcotest.test_case "all variants smoke" `Slow test_all_variants_smoke ]) ]
+       Alcotest.test_case "all variants smoke" `Slow test_all_variants_smoke;
+       Alcotest.test_case "instrumented exact counters" `Slow
+         (check_golden Golden.instrumented_jobs) ]) ]
