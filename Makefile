@@ -89,25 +89,29 @@ ci: fmt
 	echo "ci: parallel campaign determinism check passed"
 	@# Device-sharding determinism: a --device-domains 4 run must be
 	@# byte-identical to --device-domains 1 — stats JSON, output
-	@# digest and telemetry export all cmp clean. Covers a kernel
-	@# that shards (sgemm), one forced sequential by cross-block
-	@# atomics (histo), one by the plain-store alias scan (lud), and
-	@# a workload whose launches mix both verdicts (gaussian: 94 of
-	@# 141 fall back).
+	@# digest, telemetry export and the Chrome device trace all cmp
+	@# clean. Covers a kernel that shards (sgemm), one forced
+	@# sequential by cross-block atomics (histo), one by the
+	@# plain-store alias scan (lud), and a workload whose launches mix
+	@# both verdicts (gaussian: 94 of 141 fall back). Both runs write
+	@# the same file names, since stdout echoes them.
 	@tmp=$$(mktemp -d); \
 	for w in parboil/sgemm parboil/histo rodinia/lud rodinia/gaussian; do \
 	  slug=$$(echo $$w | tr / -); \
 	  dune exec bin/sassi_run.exe -- run $$w --stats-json \
-	    --telemetry-out $$tmp/tele.json --device-domains 1 \
-	    > $$tmp/$$slug-d1.out; \
+	    --telemetry-out $$tmp/tele.json --trace $$tmp/trace.json \
+	    --device-domains 1 > $$tmp/$$slug-d1.out; \
 	  mv $$tmp/tele.json $$tmp/$$slug-d1.tele; \
+	  mv $$tmp/trace.json $$tmp/$$slug-d1.json; \
 	  dune exec bin/sassi_run.exe -- run $$w --stats-json \
-	    --telemetry-out $$tmp/tele.json --device-domains 4 \
-	    > $$tmp/$$slug-d4.out; \
+	    --telemetry-out $$tmp/tele.json --trace $$tmp/trace.json \
+	    --device-domains 4 > $$tmp/$$slug-d4.out; \
 	  cmp -s $$tmp/$$slug-d1.out $$tmp/$$slug-d4.out \
 	    || { echo "ci: $$w stats diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
 	  cmp -s $$tmp/$$slug-d1.tele $$tmp/tele.json \
 	    || { echo "ci: $$w telemetry diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
+	  cmp -s $$tmp/$$slug-d1.json $$tmp/trace.json \
+	    || { echo "ci: $$w device trace diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
 	done; \
 	rm -rf $$tmp; \
 	echo "ci: device-sharding determinism check passed"

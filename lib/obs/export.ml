@@ -1,77 +1,90 @@
-let host_pid = 1
+module J = Trace.Json
 
 let track_name = function
   | 0 -> "main"
   | n -> Printf.sprintf "worker %d" (n - 1)
 
-let args_json attrs =
-  Trace.Json.Obj (List.map (fun (k, a) -> (k, Span.attr_to_json a)) attrs)
+let add = Buffer.add_string
 
-let event_json (s : Span.t) =
-  let base ph =
-    [ ("name", Trace.Json.Str s.Span.sp_name);
-      ("cat", Trace.Json.Str s.Span.sp_cat);
-      ("ph", Trace.Json.Str ph);
-      ("ts", Trace.Json.Int s.Span.sp_ts_us);
-      ("pid", Trace.Json.Int host_pid);
-      ("tid", Trace.Json.Int s.Span.sp_track) ]
+(* An event up to its "tid", left open for the caller's fields. All
+   host spans live in one process, pid 1. *)
+let head b ~name ~cat ph ts tid =
+  add b "{\"name\":";
+  J.add_str b name;
+  add b ",\"cat\":";
+  J.add_str b cat;
+  add b ",\"ph\":\"";
+  add b ph;
+  J.add_field b "\",\"ts\":" ts;
+  J.add_field b ",\"pid\":1,\"tid\":" tid
+
+let args b value kvs =
+  add b ",\"args\":{";
+  List.iteri
+    (fun i (k, v) ->
+       if i > 0 then add b ",";
+       J.add_str b k;
+       add b ":";
+       value b v)
+    kvs;
+  add b "}"
+
+let attr b = function
+  | Span.Str s -> J.add_str b s
+  | Span.Int i -> J.add_int b i
+  | Span.Float f -> J.add_float b f
+  | Span.Bool v -> add b (if v then "true" else "false")
+
+let event b (s : Span.t) =
+  let head ph =
+    head b ~name:s.Span.sp_name ~cat:s.Span.sp_cat ph s.Span.sp_ts_us
+      s.Span.sp_track
   in
-  match s.Span.sp_kind with
-  | Span.Complete dur ->
-    Trace.Json.Obj
-      (base "X"
-       @ [ ("dur", Trace.Json.Int (max 1 dur)) ]
-       @
-       match s.Span.sp_attrs with
-       | [] -> []
-       | attrs -> [ ("args", args_json attrs) ])
-  | Span.Instant ->
-    Trace.Json.Obj
-      (base "i"
-       @ [ ("s", Trace.Json.Str "t") ]
-       @
-       match s.Span.sp_attrs with
-       | [] -> []
-       | attrs -> [ ("args", args_json attrs) ])
-  | Span.Counter values ->
-    Trace.Json.Obj
-      (base "C"
-       @ [ ( "args",
-             Trace.Json.Obj
-               (List.map (fun (k, v) -> (k, Trace.Json.Float v)) values) ) ])
+  (match s.Span.sp_kind with
+   | Span.Complete dur ->
+     head "X";
+     J.add_field b ",\"dur\":" (max 1 dur)
+   | Span.Instant ->
+     head "i";
+     add b ",\"s\":\"t\""
+   | Span.Counter values ->
+     head "C";
+     args b J.add_float values);
+  (match (s.Span.sp_kind, s.Span.sp_attrs) with
+   | Span.Counter _, _ | _, [] -> ()
+   | _, attrs -> args b attr attrs);
+  add b "}"
 
-let metadata_events spans =
-  let tracks =
-    List.sort_uniq Int.compare (List.map (fun s -> s.Span.sp_track) spans)
-  in
-  let meta name tid args =
-    Trace.Json.Obj
-      [ ("name", Trace.Json.Str name);
-        ("cat", Trace.Json.Str "__metadata");
-        ("ph", Trace.Json.Str "M");
-        ("ts", Trace.Json.Int 0);
-        ("pid", Trace.Json.Int host_pid);
-        ("tid", Trace.Json.Int tid);
-        ("args", Trace.Json.Obj args) ]
-  in
-  meta "process_name" 0 [ ("name", Trace.Json.Str "sassi host") ]
-  :: List.concat_map
-       (fun t ->
-          [ meta "thread_name" t [ ("name", Trace.Json.Str (track_name t)) ];
-            (* Keep chrome's track order = domain order, not first-event
-               time. *)
-            meta "thread_sort_index" t [ ("sort_index", Trace.Json.Int t) ] ])
-       tracks
+let to_string spans =
+  let b = Buffer.create 4096 in
+  let meta name tid = head b ~name ~cat:"__metadata" "M" 0 tid in
+  add b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  meta "process_name" 0;
+  args b J.add_str [ ("name", "sassi host") ];
+  List.iter
+    (fun t ->
+       add b "},";
+       meta "thread_name" t;
+       args b J.add_str [ ("name", track_name t) ];
+       (* Keep chrome's track order = domain order, not first-event
+          time. *)
+       add b "},";
+       meta "thread_sort_index" t;
+       args b J.add_int [ ("sort_index", t) ])
+    (List.sort_uniq Int.compare (List.map (fun s -> s.Span.sp_track) spans));
+  add b "}";
+  List.iter
+    (fun s ->
+       add b ",";
+       event b s)
+    spans;
+  add b "]}";
+  Buffer.contents b
 
-let to_json spans =
-  Trace.Json.Obj
-    [ ("displayTimeUnit", Trace.Json.Str "ms");
-      ( "traceEvents",
-        Trace.Json.List (metadata_events spans @ List.map event_json spans) ) ]
-
-let to_string spans = Trace.Json.to_string (to_json spans)
-
-let write_file path spans = Trace.Json.write_file path (to_json spans)
+let write_file path spans =
+  J.with_out_file path (fun oc ->
+      output_string oc (to_string spans);
+      output_char oc '\n')
 
 let summary spans =
   let order = ref [] in

@@ -1,14 +1,9 @@
-(** Chrome trace_event export for host spans, built on the shared
-    {!Trace.Json} document type so escaping and number formatting
+(** Chrome trace_event export for host spans, written with the shared
+    {!Trace.Json} writer primitives so escaping and number formatting
     agree with every other JSON sink in the repo. The emitted document
     loads directly in [chrome://tracing] / Perfetto: one process
     ("sassi host"), one thread track per domain, [X] events for
     complete spans, [i] for instants, and [C] counter charts. *)
-
-val track_name : int -> string
-(** ["main"] for track 0, ["worker N"] for pool workers. *)
-
-val to_json : Span.t list -> Trace.Json.t
 
 val to_string : Span.t list -> string
 

@@ -20,12 +20,6 @@ type t = {
   sp_attrs : (string * attr) list;
 }
 
-let attr_to_json = function
-  | Str s -> Trace.Json.Str s
-  | Int i -> Trace.Json.Int i
-  | Float f -> Trace.Json.Float f
-  | Bool b -> Trace.Json.Bool b
-
 let order a b =
   match Int.compare a.sp_track b.sp_track with
   | 0 -> Int.compare a.sp_seq b.sp_seq

@@ -31,8 +31,6 @@ type t = {
   sp_attrs : (string * attr) list;
 }
 
-val attr_to_json : attr -> Trace.Json.t
-
 val order : t -> t -> int
 (** Total order by [(track, seq)] — the deterministic merge order. *)
 

@@ -224,7 +224,7 @@ let record_lines records =
   let b = Buffer.create 1024 in
   List.iter
     (fun (_, r) ->
-       Buffer.add_string b (Trace.Ndjson.record_to_string r);
+       Trace.Ndjson.record_to_buffer b r;
        Buffer.add_char b '\n')
     records;
   Buffer.contents b

@@ -1,6 +1,10 @@
-(* All string escaping goes through the shared Json helper so every
-   sink agrees on what a valid JSON string is. *)
-let escape b s = Json.escape_to b s
+(* One pass of Json writer primitives straight into the buffer: no
+   string, list or closure is built per record, so the export costs
+   what its bytes cost. *)
+
+let add = Buffer.add_string
+
+let kv = Json.add_field
 
 let kernel_pid = 0
 
@@ -12,155 +16,169 @@ let tid_of r =
     -> launch_id
   | _ -> max 0 r.Record.warp
 
-(* One trace event. [ph] is the Chrome phase; [dur] only applies to
-   "X" events. [args] are extra key/value pairs, values pre-rendered
-   as JSON. *)
-let event b ~first ~name ~cat ~ph ~ts ?dur ~pid ~tid ~args () =
-  if not !first then Buffer.add_string b ",\n";
-  first := false;
-  Buffer.add_string b "{\"name\":\"";
-  escape b name;
-  Buffer.add_string b "\",\"cat\":\"";
-  escape b cat;
-  Buffer.add_string b "\",\"ph\":\"";
-  Buffer.add_string b ph;
-  Buffer.add_string b (Printf.sprintf "\",\"ts\":%d" ts);
-  (match dur with
-   | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%d" d)
-   | None -> ());
-  Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid tid);
-  (match args with
-   | [] -> ()
-   | args ->
-     Buffer.add_string b ",\"args\":{";
-     List.iteri
-       (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\":";
-          Buffer.add_string b v)
-       args;
-     Buffer.add_char b '}');
-  (match ph with
-   | "i" -> Buffer.add_string b ",\"s\":\"t\"}"
-   | _ -> Buffer.add_char b '}')
+module Tbl = Hashtbl.Make (Int)
 
-let str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  escape b s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let to_buffer b records =
-  let first = ref true in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  (* Name the processes and threads we are about to reference. *)
-  let pids = Hashtbl.create 16 in
-  let tids = Hashtbl.create 64 in
+(* pid -> set of tids. Int keys throughout, so finding a track already
+   seen allocates nothing and ids of any sign or size keep their order. *)
+let tracks records =
+  let pids = Tbl.create 16 in
   List.iter
     (fun r ->
-       Hashtbl.replace pids (pid_of r) ();
-       Hashtbl.replace tids (pid_of r, tid_of r) ())
+       let pid = pid_of r in
+       if not (Tbl.mem pids pid) then Tbl.add pids pid (Tbl.create 64);
+       Tbl.replace (Tbl.find pids pid) (tid_of r) ())
     records;
-  let sorted_pids =
-    Hashtbl.fold (fun p () acc -> p :: acc) pids [] |> List.sort Int.compare
-  in
+  pids
+
+let sorted_keys t = List.sort Int.compare (Tbl.fold (fun k _ l -> k :: l) t [])
+
+(* A metadata event up to its name label, which the caller writes. *)
+let meta b what pid tid =
+  add b "{\"name\":\"";
+  add b what;
+  kv b "\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,\"pid\":" pid;
+  kv b ",\"tid\":" tid;
+  add b ",\"args\":{\"name\":\""
+
+let ids b r =
+  kv b ",\"pid\":" (pid_of r);
+  kv b ",\"tid\":" (tid_of r)
+
+(* Each arm writes one whole event, its fixed text (the "cat" is
+   [Record.category_to_string]) in as few pieces as possible. Warp
+   stalls and kernel spans are duration ("X") events, the rest
+   instants; a kernel's exit record is stamped at the end of the
+   launch, so its span covers the preceding [cycles]. *)
+let event b r =
+  let ts = r.Record.cycle in
+  match r.Record.payload with
+  | Record.Kernel_launch { name; grid = gx, gy; block = bx, by; _ } ->
+    add b ",\n{\"name\":\"kernel_launch:";
+    Json.escape_to b name;
+    kv b "\",\"cat\":\"kernel\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"grid\":[" gx;
+    kv b "," gy;
+    kv b "],\"block\":[" bx;
+    kv b "," by;
+    add b "]},\"s\":\"t\"}"
+  | Record.Kernel_exit { name; cycles; _ } ->
+    add b ",\n{\"name\":\"kernel:";
+    Json.escape_to b name;
+    kv b "\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":" (max 0 (ts - cycles));
+    kv b ",\"dur\":" (max 1 cycles);
+    ids b r;
+    kv b ",\"args\":{\"cycles\":" cycles;
+    add b "}}"
+  | Record.Block_dispatch { block; warps } ->
+    kv b ",\n{\"name\":\"block_dispatch:" block;
+    kv b "\",\"cat\":\"block\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"block\":" block;
+    kv b ",\"warps\":" warps;
+    add b "},\"s\":\"t\"}"
+  | Record.Warp_issue { pc; op; active } ->
+    add b ",\n{\"name\":\"warp_issue:";
+    Json.escape_to b op;
+    kv b "\",\"cat\":\"warp\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"pc\":" pc;
+    kv b ",\"active\":" active;
+    add b "},\"s\":\"t\"}"
+  | Record.Warp_stall { reason; cycles } ->
+    let reason = Record.stall_reason_to_string reason in
+    add b ",\n{\"name\":\"stall:";
+    add b reason;
+    kv b "\",\"cat\":\"warp\",\"ph\":\"X\",\"ts\":" ts;
+    kv b ",\"dur\":" (max 1 cycles);
+    ids b r;
+    add b ",\"args\":{\"reason\":\"";
+    add b reason;
+    add b "\"}}"
+  | Record.Warp_barrier { pc; arrived } ->
+    kv b ",\n{\"name\":\"barrier\",\"cat\":\"warp\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"pc\":" pc;
+    kv b ",\"arrived\":" arrived;
+    add b "},\"s\":\"t\"}"
+  | Record.Mem_access { space; write; bytes; lanes; transactions } ->
+    add b ",\n{\"name\":\"";
+    add b (if write then "mem_st:" else "mem_ld:");
+    add b (Record.mem_space_to_string space);
+    kv b "\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"bytes\":" bytes;
+    kv b ",\"lanes\":" lanes;
+    kv b ",\"transactions\":" transactions;
+    add b "},\"s\":\"t\"}"
+  | Record.Cache_access { level; hit } ->
+    add b ",\n{\"name\":\"";
+    add b (Record.cache_level_to_string level);
+    add b (if hit then "_hit" else "_miss");
+    kv b "\",\"cat\":\"cache\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    add b ",\"s\":\"t\"}"
+  | Record.Handler_invoke { site; pc } ->
+    kv b ",\n{\"name\":\"handler:" site;
+    kv b "\",\"cat\":\"handler\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"site\":" site;
+    kv b ",\"pc\":" pc;
+    add b "},\"s\":\"t\"}"
+  | Record.Fault_inject { thread; bit; target } ->
+    add b ",\n{\"name\":\"fault_inject:";
+    Json.escape_to b target;
+    kv b "\",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":" ts;
+    ids b r;
+    kv b ",\"args\":{\"thread\":" thread;
+    kv b ",\"bit\":" bit;
+    add b "},\"s\":\"t\"}"
+
+(* Process names first, then thread names, each in id order; then the
+   records. [spill] runs between records. *)
+let write ~spill b records =
+  add b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
+  let tracks = tracks records in
+  let pids = sorted_keys tracks in
+  List.iteri
+    (fun i pid ->
+       if i > 0 then add b ",\n";
+       meta b "process_name" pid 0;
+       if pid = kernel_pid then add b "kernels" else kv b "SM " (pid - 1);
+       add b "\"}}")
+    pids;
   List.iter
     (fun pid ->
-       let pname =
-         if pid = kernel_pid then "kernels"
-         else Printf.sprintf "SM %d" (pid - 1)
-       in
-       event b ~first ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0
-         ~pid ~tid:0 ~args:[ ("name", str pname) ] ())
-    sorted_pids;
-  let sorted_tids =
-    Hashtbl.fold (fun k () acc -> k :: acc) tids [] |> List.sort compare
-  in
-  List.iter
-    (fun (pid, tid) ->
-       let tname =
-         if pid = kernel_pid then Printf.sprintf "launch %d" tid
-         else Printf.sprintf "warp %d" tid
-       in
-       event b ~first ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0
-         ~pid ~tid ~args:[ ("name", str tname) ] ())
-    sorted_tids;
+       List.iter
+         (fun tid ->
+            add b ",\n";
+            meta b "thread_name" pid tid;
+            kv b (if pid = kernel_pid then "launch " else "warp ") tid;
+            add b "\"}}")
+         (sorted_keys (Tbl.find tracks pid)))
+    pids;
   List.iter
     (fun r ->
-       let cat = Record.category_to_string (Record.category r) in
-       let name = Record.name r in
-       let ts = r.Record.cycle in
-       let pid = pid_of r in
-       let tid = tid_of r in
-       let ev = event b ~first ~name ~cat ~pid ~tid in
-       match r.Record.payload with
-       | Record.Kernel_launch { grid = gx, gy; block = bx, by; _ } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("grid", Printf.sprintf "[%d,%d]" gx gy);
-               ("block", Printf.sprintf "[%d,%d]" bx by) ]
-           ()
-       | Record.Kernel_exit { cycles; _ } ->
-         (* The exit record is stamped at the end of the launch; the
-            kernel span covers the preceding [cycles]. *)
-         ev ~ph:"X" ~ts:(max 0 (ts - cycles)) ~dur:(max 1 cycles)
-           ~args:[ ("cycles", string_of_int cycles) ]
-           ()
-       | Record.Block_dispatch { block; warps } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("block", string_of_int block);
-               ("warps", string_of_int warps) ]
-           ()
-       | Record.Warp_issue { pc; active; _ } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("pc", string_of_int pc); ("active", string_of_int active) ]
-           ()
-       | Record.Warp_stall { cycles; reason } ->
-         ev ~ph:"X" ~ts ~dur:(max 1 cycles)
-           ~args:[ ("reason", str (Record.stall_reason_to_string reason)) ]
-           ()
-       | Record.Warp_barrier { pc; arrived } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("pc", string_of_int pc); ("arrived", string_of_int arrived) ]
-           ()
-       | Record.Mem_access { bytes; lanes; transactions; _ } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("bytes", string_of_int bytes);
-               ("lanes", string_of_int lanes);
-               ("transactions", string_of_int transactions) ]
-           ()
-       | Record.Cache_access _ -> ev ~ph:"i" ~ts ~args:[] ()
-       | Record.Handler_invoke { site; pc } ->
-         ev ~ph:"i" ~ts
-           ~args:[ ("site", string_of_int site); ("pc", string_of_int pc) ]
-           ()
-       | Record.Fault_inject { thread; bit; _ } ->
-         ev ~ph:"i" ~ts
-           ~args:
-             [ ("thread", string_of_int thread); ("bit", string_of_int bit) ]
-           ())
+       event b r;
+       spill b)
     records;
-  Buffer.add_string b "\n]}\n"
+  add b "\n]}\n"
 
+let to_buffer b records = write ~spill:ignore b records
+
+(* Chunks, not one doubling buffer: the document is copied once, into
+   the result, and never sits in memory twice over. *)
 let to_string records =
-  let b = Buffer.create 65536 in
-  to_buffer b records;
-  Buffer.contents b
+  let b = Buffer.create 65536 and chunks = ref [] in
+  let keep b = chunks := Buffer.contents b :: !chunks in
+  write ~spill:(Json.spill keep) b records;
+  keep b;
+  String.concat "" (List.rev !chunks)
 
 let to_channel oc records =
   let b = Buffer.create 65536 in
-  to_buffer b records;
+  write ~spill:(Json.spill (Buffer.output_buffer oc)) b records;
   Buffer.output_buffer oc b
 
 let write_file path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel oc records)
+  Json.with_out_file path (fun oc -> to_channel oc records)

@@ -13,5 +13,6 @@ val to_buffer : Buffer.t -> Record.t list -> unit
 val to_string : Record.t list -> string
 
 val to_channel : out_channel -> Record.t list -> unit
+(** Writes the document in 64 KiB chunks; it is never held whole. *)
 
 val write_file : string -> Record.t list -> unit

@@ -13,24 +13,12 @@ let create ?(capacity = 262144) ?(policy = Ring.Drop_oldest)
 
 let wants t cat = t.mask land Record.category_bit cat <> 0
 
-let mask t = t.mask
-
 let emit t r = Ring.push t.ring r
 
-let emit_if t r = if wants t (Record.category r) then Ring.push t.ring r
-
 let records t = Ring.to_list t.ring
-
-let length t = Ring.length t.ring
-
-let pushed t = Ring.pushed t.ring
 
 let dropped t = Ring.dropped t.ring
 
 let flushed t = Ring.flushed t.ring
 
 let flush t = Ring.flush t.ring
-
-let clear t = Ring.clear t.ring
-
-let ring t = t.ring

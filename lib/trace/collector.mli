@@ -16,28 +16,15 @@ val create :
 
 val wants : t -> Record.category -> bool
 
-val mask : t -> int
-
 val emit : t -> Record.t -> unit
 (** Unconditionally records; call {!wants} first at emission sites
     that construct records lazily. *)
 
-val emit_if : t -> Record.t -> unit
-(** Records only when the record's category is enabled. *)
-
 val records : t -> Record.t list
 (** Resident records, oldest first. *)
-
-val length : t -> int
-
-val pushed : t -> int
 
 val dropped : t -> int
 
 val flushed : t -> int
 
 val flush : t -> Record.t list
-
-val clear : t -> unit
-
-val ring : t -> Record.t Ring.t

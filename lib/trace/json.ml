@@ -1,7 +1,7 @@
-(* Minimal JSON document builder shared by every JSON-emitting sink
-   (NDJSON and Chrome trace sinks, the profiler report writer, bench
-   summaries, --stats-json). One escaping routine, one number
-   formatter, so all emitters agree on validity. *)
+(* Minimal JSON document builder and writer primitives shared by every
+   JSON-emitting sink (NDJSON and Chrome trace sinks, the profiler
+   report writer, bench summaries, --stats-json). One escaping routine,
+   one number formatter, so all emitters agree on validity. *)
 
 type t =
   | Null
@@ -12,40 +12,59 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Runs of bytes that need no escape are copied with one blit each; a
+   string with nothing to escape (almost every name) is one blit. *)
 let escape_to b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring b s !start (i - !start);
+      start := i + 1;
+      Buffer.add_string b
+        (match c with
+         | '"' -> "\\\""
+         | '\\' -> "\\\\"
+         | '\n' -> "\\n"
+         | '\t' -> "\\t"
+         | '\r' -> "\\r"
+         | c -> Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring b s !start (n - !start)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_str b s =
+  Buffer.add_char b '"';
   escape_to b s;
-  Buffer.contents b
+  Buffer.add_char b '"'
+
+(* Digits are produced on the negative side, where every int has a
+   magnitude, so [min_int] needs no special case. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_neg_digits b (if n < 0 then n else -n)
+
+let add_field b s v =
+  Buffer.add_string b s;
+  add_int b v
 
 (* JSON has no NaN/infinity literals; map them to null. *)
-let float_repr f =
+let add_float b f =
   match Float.classify_float f with
-  | Float.FP_nan | Float.FP_infinite -> "null"
-  | _ -> Printf.sprintf "%.12g" f
+  | Float.FP_nan | Float.FP_infinite -> Buffer.add_string b "null"
+  | _ -> Buffer.add_string b (Printf.sprintf "%.12g" f)
 
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (float_repr f)
-  | Str s ->
-    Buffer.add_char b '"';
-    escape_to b s;
-    Buffer.add_char b '"'
+  | Int i -> add_int b i
+  | Float f -> add_float b f
+  | Str s -> add_str b s
   | List vs ->
     Buffer.add_char b '[';
     List.iteri
@@ -59,9 +78,8 @@ let rec to_buffer b = function
     List.iteri
       (fun i (k, v) ->
          if i > 0 then Buffer.add_char b ',';
-         Buffer.add_char b '"';
-         escape_to b k;
-         Buffer.add_string b "\":";
+         add_str b k;
+         Buffer.add_char b ':';
          to_buffer b v)
       kvs;
     Buffer.add_char b '}'
@@ -70,6 +88,16 @@ let to_string v =
   let b = Buffer.create 256 in
   to_buffer b v;
   Buffer.contents b
+
+let spill f b =
+  if Buffer.length b >= 65536 then begin
+    f b;
+    Buffer.clear b
+  end
+
+let with_out_file path f =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
 (* ---------- parsing ---------- *)
 
@@ -276,15 +304,7 @@ let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
 
-let to_channel oc v =
-  let b = Buffer.create 4096 in
-  to_buffer b v;
-  Buffer.output_buffer oc b
-
 let write_file path v =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-       to_channel oc v;
-       output_char oc '\n')
+  with_out_file path (fun oc ->
+      output_string oc (to_string v);
+      output_char oc '\n')

@@ -11,17 +11,34 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape_to : Buffer.t -> string -> unit
-(** Append the JSON string-escaped form of the argument (without
-    surrounding quotes). *)
+(** {2 Writer primitives}
 
-val escape : string -> string
+    Each appends to the buffer without building a [t]; only floats
+    and escaped control bytes allocate. *)
+
+val escape_to : Buffer.t -> string -> unit
+(** The JSON string-escaped form, without surrounding quotes. *)
+
+val add_str : Buffer.t -> string -> unit
+
+val add_int : Buffer.t -> int -> unit
+
+val add_field : Buffer.t -> string -> int -> unit
+(** [s] verbatim (a key with its punctuation, e.g. [",\"pc\":"]),
+    then the int. *)
+
+val add_float : Buffer.t -> float -> unit
+
+val spill : (Buffer.t -> unit) -> Buffer.t -> unit
+(** Hand the buffer on and clear it once it holds 64 KiB: a streaming
+    writer calls this between items to bound its memory. *)
+
+val with_out_file : string -> (out_channel -> 'a) -> 'a
+(** @raise Sys_error on unwritable paths. *)
 
 val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
-
-val to_channel : out_channel -> t -> unit
 
 val write_file : string -> t -> unit
 (** Serialize to a file with a trailing newline.

@@ -1,73 +1,81 @@
-(* All string escaping goes through the shared Json helper so every
-   sink agrees on what a valid JSON string is. *)
-let escape = Json.escape
+(* Every field goes through the shared Json writer primitives, so every
+   string is JSON-escaped the way the Chrome sink escapes it. *)
 
-let record_to_string (r : Record.t) =
-  let common =
-    Printf.sprintf "\"kind\":%S,\"cycle\":%d,\"sm\":%d,\"warp\":%d"
-      (Record.category_to_string (Record.category r))
-      r.Record.cycle r.Record.sm r.Record.warp
-  in
-  let rest =
-    match r.Record.payload with
-    | Record.Kernel_launch { name; launch_id; grid = gx, gy; block = bx, by }
-      ->
-      Printf.sprintf
-        "\"event\":\"kernel_launch\",\"name\":\"%s\",\"launch\":%d,\"grid\":[%d,%d],\"block\":[%d,%d]"
-        (escape name) launch_id gx gy bx by
-    | Record.Kernel_exit { name; launch_id; cycles } ->
-      Printf.sprintf
-        "\"event\":\"kernel_exit\",\"name\":\"%s\",\"launch\":%d,\"cycles\":%d"
-        (escape name) launch_id cycles
-    | Record.Block_dispatch { block; warps } ->
-      Printf.sprintf "\"event\":\"block_dispatch\",\"block\":%d,\"warps\":%d"
-        block warps
-    | Record.Warp_issue { pc; op; active } ->
-      Printf.sprintf
-        "\"event\":\"warp_issue\",\"pc\":%d,\"op\":\"%s\",\"active\":%d" pc
-        (escape op) active
-    | Record.Warp_stall { reason; cycles } ->
-      Printf.sprintf "\"event\":\"warp_stall\",\"reason\":%S,\"cycles\":%d"
-        (Record.stall_reason_to_string reason)
-        cycles
-    | Record.Warp_barrier { pc; arrived } ->
-      Printf.sprintf "\"event\":\"warp_barrier\",\"pc\":%d,\"arrived\":%d" pc
-        arrived
-    | Record.Mem_access { space; write; bytes; lanes; transactions } ->
-      Printf.sprintf
-        "\"event\":\"mem_access\",\"space\":%S,\"write\":%b,\"bytes\":%d,\"lanes\":%d,\"transactions\":%d"
-        (Record.mem_space_to_string space)
-        write bytes lanes transactions
-    | Record.Cache_access { level; hit } ->
-      Printf.sprintf "\"event\":\"cache_access\",\"level\":%S,\"hit\":%b"
-        (Record.cache_level_to_string level)
-        hit
-    | Record.Handler_invoke { site; pc } ->
-      Printf.sprintf "\"event\":\"handler_invoke\",\"site\":%d,\"pc\":%d" site
-        pc
-    | Record.Fault_inject { thread; bit; target } ->
-      Printf.sprintf
-        "\"event\":\"fault_inject\",\"thread\":%d,\"bit\":%d,\"target\":%S"
-        thread bit target
-  in
-  "{" ^ common ^ "," ^ rest ^ "}"
+let add = Buffer.add_string
 
-let to_channel oc records =
-  List.iter
-    (fun r ->
-       output_string oc (record_to_string r);
-       output_char oc '\n')
-    records
+let kv = Json.add_field
 
+let record_to_buffer b (r : Record.t) =
+  add b "{\"kind\":\"";
+  add b (Record.category_to_string (Record.category r));
+  kv b "\",\"cycle\":" r.Record.cycle;
+  kv b ",\"sm\":" r.Record.sm;
+  kv b ",\"warp\":" r.Record.warp;
+  (match r.Record.payload with
+   | Record.Kernel_launch { name; launch_id; grid = gx, gy; block = bx, by }
+     ->
+     add b ",\"event\":\"kernel_launch\",\"name\":";
+     Json.add_str b name;
+     kv b ",\"launch\":" launch_id;
+     kv b ",\"grid\":[" gx;
+     kv b "," gy;
+     kv b "],\"block\":[" bx;
+     kv b "," by;
+     add b "]"
+   | Record.Kernel_exit { name; launch_id; cycles } ->
+     add b ",\"event\":\"kernel_exit\",\"name\":";
+     Json.add_str b name;
+     kv b ",\"launch\":" launch_id;
+     kv b ",\"cycles\":" cycles
+   | Record.Block_dispatch { block; warps } ->
+     kv b ",\"event\":\"block_dispatch\",\"block\":" block;
+     kv b ",\"warps\":" warps
+   | Record.Warp_issue { pc; op; active } ->
+     kv b ",\"event\":\"warp_issue\",\"pc\":" pc;
+     add b ",\"op\":";
+     Json.add_str b op;
+     kv b ",\"active\":" active
+   | Record.Warp_stall { reason; cycles } ->
+     add b ",\"event\":\"warp_stall\",\"reason\":";
+     Json.add_str b (Record.stall_reason_to_string reason);
+     kv b ",\"cycles\":" cycles
+   | Record.Warp_barrier { pc; arrived } ->
+     kv b ",\"event\":\"warp_barrier\",\"pc\":" pc;
+     kv b ",\"arrived\":" arrived
+   | Record.Mem_access { space; write; bytes; lanes; transactions } ->
+     add b ",\"event\":\"mem_access\",\"space\":";
+     Json.add_str b (Record.mem_space_to_string space);
+     add b (if write then ",\"write\":true" else ",\"write\":false");
+     kv b ",\"bytes\":" bytes;
+     kv b ",\"lanes\":" lanes;
+     kv b ",\"transactions\":" transactions
+   | Record.Cache_access { level; hit } ->
+     add b ",\"event\":\"cache_access\",\"level\":";
+     Json.add_str b (Record.cache_level_to_string level);
+     add b (if hit then ",\"hit\":true" else ",\"hit\":false")
+   | Record.Handler_invoke { site; pc } ->
+     kv b ",\"event\":\"handler_invoke\",\"site\":" site;
+     kv b ",\"pc\":" pc
+   | Record.Fault_inject { thread; bit; target } ->
+     kv b ",\"event\":\"fault_inject\",\"thread\":" thread;
+     kv b ",\"bit\":" bit;
+     add b ",\"target\":";
+     Json.add_str b target);
+  add b "}"
+
+let record_to_string r =
+  let b = Buffer.create 128 in
+  record_to_buffer b r;
+  Buffer.contents b
+
+(* One line per record, written out a chunk at a time. *)
 let write_file path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel oc records)
-
-let sink oc batch =
-  Array.iter
-    (fun r ->
-       output_string oc (record_to_string r);
-       output_char oc '\n')
-    batch
+  Json.with_out_file path (fun oc ->
+      let b = Buffer.create 65536 and out = Buffer.output_buffer oc in
+      List.iter
+        (fun r ->
+           record_to_buffer b r;
+           add b "\n";
+           Json.spill out b)
+        records;
+      out b)

@@ -1,14 +1,10 @@
 (** Newline-delimited JSON: one self-describing object per activity
-    record, suitable for streaming consumers ([jq], log shippers) and
-    for incremental flushing via {!Ring.Flush_callback}. *)
+    record, suitable for streaming consumers ([jq], log shippers, the
+    daemon's [/trace] endpoint). *)
+
+val record_to_buffer : Buffer.t -> Record.t -> unit
+(** Append one JSON object, no trailing newline. *)
 
 val record_to_string : Record.t -> string
-(** One JSON object, no trailing newline. *)
-
-val to_channel : out_channel -> Record.t list -> unit
 
 val write_file : string -> Record.t list -> unit
-
-val sink : out_channel -> Record.t array -> unit
-(** A ready-made [Flush_callback]: writes each record of the batch as
-    one line. *)

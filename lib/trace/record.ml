@@ -136,20 +136,3 @@ let category t =
   | Cache_access _ -> Cache
   | Handler_invoke _ -> Handler
   | Fault_inject _ -> Fault
-
-let name t =
-  match t.payload with
-  | Kernel_launch { name; _ } -> "kernel_launch:" ^ name
-  | Kernel_exit { name; _ } -> "kernel:" ^ name
-  | Block_dispatch { block; _ } -> Printf.sprintf "block_dispatch:%d" block
-  | Warp_issue { op; _ } -> "warp_issue:" ^ op
-  | Warp_stall { reason; _ } -> "stall:" ^ stall_reason_to_string reason
-  | Warp_barrier _ -> "barrier"
-  | Mem_access { space; write; _ } ->
-    Printf.sprintf "mem_%s:%s" (if write then "st" else "ld")
-      (mem_space_to_string space)
-  | Cache_access { level; hit } ->
-    Printf.sprintf "%s_%s" (cache_level_to_string level)
-      (if hit then "hit" else "miss")
-  | Handler_invoke { site; _ } -> Printf.sprintf "handler:%d" site
-  | Fault_inject { target; _ } -> "fault_inject:" ^ target

@@ -104,7 +104,3 @@ type t = {
 val make : cycle:int -> sm:int -> warp:int -> payload -> t
 
 val category : t -> category
-
-val name : t -> string
-(** Short event name for display and Chrome export, e.g.
-    ["warp_issue:IADD"]. *)

@@ -25,10 +25,6 @@ let create ?(policy = Drop_oldest) ~capacity () =
     dropped = 0;
     flushed = 0 }
 
-let capacity t = t.cap
-
-let policy t = t.pol
-
 let length t = t.len
 
 let pushed t = t.pushed
@@ -70,13 +66,6 @@ let push t x =
       store t x
 
 let to_list t = Array.to_list (resident t)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    match t.buf.((t.head + i) mod t.cap) with
-    | Some x -> f x
-    | None -> assert false
-  done
 
 let flush t =
   let xs = to_list t in

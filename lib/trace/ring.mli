@@ -16,10 +16,6 @@ type 'a t
 val create : ?policy:'a overflow -> capacity:int -> unit -> 'a t
 (** [capacity] must be positive. Default policy is [Drop_oldest]. *)
 
-val capacity : 'a t -> int
-
-val policy : 'a t -> 'a overflow
-
 val push : 'a t -> 'a -> unit
 
 val length : 'a t -> int
@@ -38,9 +34,6 @@ val flushed : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Resident elements, oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
 
 val flush : 'a t -> 'a list
 (** Return resident elements (oldest first) and empty the buffer;

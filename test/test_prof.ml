@@ -414,8 +414,8 @@ let test_json_escaping () =
       | Test_trace.Json.Num v -> check feq "int round-trips" (-3.0) v
       | _ -> Alcotest.fail "i not a number")
    | _ -> Alcotest.fail "not an object");
-  check Alcotest.string "control chars use \\u escapes" "\\u0001"
-    (Trace.Json.escape "\001")
+  check Alcotest.string "control chars use \\u escapes" "\"\\u0001\""
+    (Trace.Json.to_string (Trace.Json.Str "\001"))
 
 (* --- Counters.zero_on_launch --------------------------------------------------- *)
 

@@ -506,6 +506,165 @@ let test_json_escape_roundtrip () =
       "controls \x01\x1f\n\t\r\b\x0c";
       "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80" ]
 
+(* --- Pinned export bytes ---------------------------------------------------- *)
+
+(* MD5 digests of the Chrome document, the NDJSON lines and the
+   host-span document. perfbench's refs.json pins each observed job's
+   Chrome length and people diff traces across runs, so a writer may
+   be rewritten but must not move a byte. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let ndjson_text records =
+  String.concat ""
+    (List.map (fun r -> Trace.Ndjson.record_to_string r ^ "\n") records)
+
+(* parboil/spmv small under every activity kind, with the host spans
+   of the same run. Span times are wall clock, so each span's time
+   becomes its begin order and its duration its depth. *)
+let spmv_traced () =
+  Kernel.Cache.disable ();
+  let dev = Gpu.Device.create () in
+  Cupti.Activity.enable_all dev;
+  Obs.Tracer.enable ();
+  let w = Workloads.Registry.find "parboil/spmv" in
+  ignore (w.Workloads.Workload.run dev ~variant:"small");
+  let spans = Obs.Tracer.drain () in
+  let records = Cupti.Activity.flush dev in
+  Cupti.Activity.disable dev;
+  let fix s =
+    { s with
+      Obs.Span.sp_ts_us = 10 * s.Obs.Span.sp_seq;
+      sp_kind =
+        (match s.Obs.Span.sp_kind with
+         | Obs.Span.Complete _ -> Obs.Span.Complete (1 + s.Obs.Span.sp_depth)
+         | k -> k) }
+  in
+  (records, List.map fix spans)
+
+(* Quote, backslash, newline, byte 0x01 and a byte above 0x7f. *)
+let odd = "q\"b\\s\nc\001h\xe9"
+
+let hand_records =
+  let open Trace.Record in
+  let r cycle sm warp p = make ~cycle ~sm ~warp p in
+  [ r 0 (-1) (-1)
+      (Kernel_launch { name = odd; launch_id = -3; grid = (2, 1); block = (64, 1) });
+    r 4 (-1) (-1)
+      (Kernel_launch
+         { name = "k"; launch_id = max_int; grid = (1, 3); block = (32, 2) });
+    r 5 2 0
+      (Kernel_launch
+         { name = "big"; launch_id = 1 lsl 40; grid = (7, 7); block = (8, 8) });
+    r 6 2 0
+      (Kernel_launch { name = "neg"; launch_id = -9; grid = (1, 1); block = (1, 1) });
+    r 1 0 (-1) (Block_dispatch { block = 0; warps = 2 });
+    r 2 1 3 (Warp_issue { pc = 16; op = odd; active = 32 });
+    r 3 1 3 (Warp_stall { reason = Stall_memory; cycles = 0 });
+    r 4 1 (1 lsl 35) (Warp_stall { reason = Stall_barrier; cycles = 12 });
+    r 9 1 (-2) (Warp_stall { reason = Stall_exec; cycles = -4 });
+    r 10 100 7 (Warp_barrier { pc = 24; arrived = 2 });
+    r 11 0 1
+      (Mem_access
+         { space = Sp_global; write = false; bytes = 4; lanes = 32; transactions = 4 });
+    r 12 0 1
+      (Mem_access
+         { space = Sp_shared; write = true; bytes = 8; lanes = 1; transactions = 1 });
+    r 13 0 1
+      (Mem_access
+         { space = Sp_local; write = true; bytes = 16; lanes = 0; transactions = 0 });
+    r 14 0 1
+      (Mem_access
+         { space = Sp_texture; write = false; bytes = 1; lanes = 3; transactions = 2 });
+    r 15 0 2 (Cache_access { level = L1; hit = true });
+    r 16 0 2 (Cache_access { level = L2; hit = false });
+    r (-5) (-7) 4 (Handler_invoke { site = min_int; pc = max_int });
+    r 17 3 9 (Fault_inject { thread = 77; bit = -1; target = "predicate" });
+    r 18 3 9 (Fault_inject { thread = 5; bit = 31; target = odd });
+    r 30 (-1) (-1) (Kernel_exit { name = odd; launch_id = -3; cycles = 40 });
+    r 31 (-1) (-1) (Kernel_exit { name = "k"; launch_id = max_int; cycles = 0 });
+    r 32 2 0 (Kernel_exit { name = "big"; launch_id = 1 lsl 40; cycles = 20 }) ]
+
+let hand_spans =
+  let sp ?(track = 0) ?(depth = 0) seq ts cat name kind attrs =
+    { Obs.Span.sp_track = track; sp_seq = seq; sp_name = name; sp_cat = cat;
+      sp_ts_us = ts; sp_depth = depth; sp_kind = kind; sp_attrs = attrs }
+  in
+  Obs.Span.
+    [ sp 0 0 "campaign" odd (Complete 0) [];
+      sp ~depth:1 1 5 odd "job" (Complete 1234)
+        [ ("kernel", Str odd); ("n", Int (-7)); ("big", Int max_int);
+          ("min", Int min_int); ("ok", Bool true); ("no", Bool false);
+          ("f", Float 0.1); ("nan", Float Float.nan);
+          ("inf", Float Float.infinity); (odd, Float (-1e300)) ];
+      sp 2 9 "x" "instant" Instant [];
+      sp 3 10 "x" "instant attrs" Instant [ ("a", Int 1); ("s", Str "") ];
+      sp 4 11 "pool" "pool"
+        (Counter [ ("busy", 0.5); ("queued", 3.); (odd, Float.nan) ])
+        [];
+      sp ~track:2 0 3 "job" "w" (Complete 8) [ ("x", Float 1e21) ];
+      sp ~track:12 0 (-4) "job" "late" Instant [] ]
+
+let check_digests label ~chrome ~ndjson ~host records spans =
+  check Alcotest.string (label ^ ": Chrome document") chrome
+    (md5 (Trace.Chrome.to_string records));
+  check Alcotest.string (label ^ ": NDJSON lines") ndjson
+    (md5 (ndjson_text records));
+  check Alcotest.string (label ^ ": host-span document") host
+    (md5 (Obs.Export.to_string spans))
+
+let test_pinned_traced_run () =
+  let records, spans = spmv_traced () in
+  check_digests "spmv small" ~chrome:"d324aa5cff3c306c7840a849f9c5eb8f"
+    ~ndjson:"66c6fd5d24e5f66163315ad4c126ed51"
+    ~host:"236fad81cc043bf33843c7ee1dac0130" records spans
+
+let test_pinned_hand_built () =
+  check_digests "hand-built" ~chrome:"45ca1c82e66c671d4218bfa5bc843116"
+    ~ndjson:"1006d0101e8c350656067dac0f381195"
+    ~host:"38d3d0a417a031ea3e9774d71bde3960" hand_records hand_spans;
+  check Alcotest.string "empty Chrome document"
+    "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n"
+    (Trace.Chrome.to_string []);
+  check Alcotest.string "empty host-span document"
+    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"process_name\",\
+     \"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":0,\
+     \"args\":{\"name\":\"sassi host\"}}]}"
+    (Obs.Export.to_string [])
+
+(* Every string field of an NDJSON line is JSON-escaped, not only the
+   names: a fault target with a control byte and a byte above 0x7f
+   must parse and come back unchanged. *)
+let test_ndjson_escapes_strings () =
+  let target = "reg\001\233" in
+  let line =
+    Trace.Ndjson.record_to_string
+      (Trace.Record.make ~cycle:1 ~sm:0 ~warp:0
+         (Trace.Record.Fault_inject { thread = 3; bit = 7; target }))
+  in
+  match Trace.Json.of_string line with
+  | Ok o ->
+    check Alcotest.(option string) "target round-trips" (Some target)
+      (match Trace.Json.member "target" o with
+       | Some (Trace.Json.Str s) -> Some s
+       | _ -> None)
+  | Error e -> Alcotest.failf "unparseable line %S: %s" line e
+
+(* --- Allocation-free export ------------------------------------------------ *)
+
+(* Into a buffer already large enough for the document, the Chrome
+   export allocates per track (the metadata tables), not per record. *)
+let test_chrome_export_allocation () =
+  let records, _ = spmv_traced () in
+  let b = Buffer.create (String.length (Trace.Chrome.to_string records)) in
+  let before = Gc.minor_words () in
+  Trace.Chrome.to_buffer b records;
+  let words = Gc.minor_words () -. before in
+  let per_record = words /. float_of_int (List.length records) in
+  if per_record > 4. then
+    Alcotest.failf "%.1f minor words per record over %d records (limit 4)"
+      per_record (List.length records)
+
 let suite =
   [ ( "trace.ring",
       [ Alcotest.test_case "drop-oldest" `Quick test_ring_drop_oldest;
@@ -524,7 +683,17 @@ let suite =
       ] );
     ( "trace.sinks",
       [ Alcotest.test_case "chrome json" `Quick test_chrome_json_valid;
-        Alcotest.test_case "ndjson" `Quick test_ndjson_valid
+        Alcotest.test_case "ndjson" `Quick test_ndjson_valid;
+        Alcotest.test_case "pinned bytes: traced run" `Quick
+          test_pinned_traced_run;
+        Alcotest.test_case "pinned bytes: hand-built" `Quick
+          test_pinned_hand_built;
+        Alcotest.test_case "ndjson escapes strings" `Quick
+          test_ndjson_escapes_strings
+      ] );
+    ( "trace.zero-alloc",
+      [ Alcotest.test_case "Chrome export per record" `Quick
+          test_chrome_export_allocation
       ] );
     ( "trace.json",
       [ Alcotest.test_case "unicode escapes" `Quick
