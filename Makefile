@@ -67,10 +67,14 @@ ci: fmt
 	fi; \
 	rm -rf $$tmp; \
 	echo "ci: compare smoke + seeded-regression checks passed"
-	@# Parallel determinism: a --jobs 2 campaign must produce the same
-	@# manifest counters as --jobs 1 (the comparator ignores wall time
-	@# and argv, so any diff is a real scheduling leak). Four jobs on
-	@# two workers, so at --jobs 2 some wait in the run queue.
+	@# Parallel determinism and host tracing, on one campaign: a
+	@# --jobs 2 campaign must produce the same manifest counters as
+	@# --jobs 1 (the comparator ignores wall time and argv, so any diff
+	@# is a real scheduling leak). Four jobs on two workers, so at
+	@# --jobs 2 some wait in the run queue. A traced --jobs 2 run must
+	@# emit Chrome trace_event JSON that parses (trace-summary exit 0)
+	@# with the pool counters, and its manifest must diff clean against
+	@# the untraced --jobs 2 run: spans never perturb results.
 	@tmp=$$(mktemp -d); \
 	printf '%s\n' \
 	  '{"schema":"sassi-campaign/1","name":"ci-smoke","seed":2025,"jobs":[' \
@@ -85,8 +89,17 @@ ci: fmt
 	  --manifest $$tmp/j2.json > /dev/null; \
 	dune exec bin/sassi_run.exe -- compare $$tmp/j1.json $$tmp/j2.json \
 	  || { echo "ci: --jobs 2 campaign diverged from --jobs 1"; rm -rf $$tmp; exit 1; }; \
+	dune exec bin/sassi_run.exe -- campaign $$tmp/campaign.json --jobs 2 \
+	  --host-trace $$tmp/host.json --host-metrics $$tmp/pool.prom \
+	  --manifest $$tmp/traced.json > /dev/null; \
+	dune exec bin/sassi_run.exe -- trace-summary $$tmp/host.json > /dev/null \
+	  || { echo "ci: --host-trace output is not a loadable Chrome trace"; rm -rf $$tmp; exit 1; }; \
+	grep -q '^sassi_pool_tasks_total' $$tmp/pool.prom \
+	  || { echo "ci: --host-metrics missing pool counters"; rm -rf $$tmp; exit 1; }; \
+	dune exec bin/sassi_run.exe -- compare $$tmp/j2.json $$tmp/traced.json \
+	  || { echo "ci: traced campaign diverged from untraced"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; \
-	echo "ci: parallel campaign determinism check passed"
+	echo "ci: parallel campaign determinism and host-trace checks passed"
 	@# Device-sharding determinism: a --device-domains 4 run must be
 	@# byte-identical to --device-domains 1 — stats JSON, output
 	@# digest, telemetry export and the Chrome device trace all cmp
@@ -115,29 +128,6 @@ ci: fmt
 	done; \
 	rm -rf $$tmp; \
 	echo "ci: device-sharding determinism check passed"
-	@# Host-trace gate: a traced --jobs 2 campaign must emit Chrome
-	@# trace_event JSON that parses (trace-summary exit 0), and its
-	@# manifest must diff clean against the untraced run — spans never
-	@# perturb results.
-	@tmp=$$(mktemp -d); \
-	printf '%s\n' \
-	  '{"schema":"sassi-campaign/1","name":"ci-trace","seed":2025,"jobs":[' \
-	  ' {"workload":"parboil/sgemm","variant":"small","kind":"inject","injections":4},' \
-	  ' {"workload":"parboil/spmv","variant":"small","kind":"run"}]}' \
-	  > $$tmp/campaign.json; \
-	dune exec bin/sassi_run.exe -- campaign $$tmp/campaign.json --jobs 2 \
-	  --manifest $$tmp/plain.json > /dev/null; \
-	dune exec bin/sassi_run.exe -- campaign $$tmp/campaign.json --jobs 2 \
-	  --host-trace $$tmp/host.json --host-metrics $$tmp/pool.prom \
-	  --manifest $$tmp/traced.json > /dev/null; \
-	dune exec bin/sassi_run.exe -- trace-summary $$tmp/host.json > /dev/null \
-	  || { echo "ci: --host-trace output is not a loadable Chrome trace"; rm -rf $$tmp; exit 1; }; \
-	grep -q '^sassi_pool_tasks_total' $$tmp/pool.prom \
-	  || { echo "ci: --host-metrics missing pool counters"; rm -rf $$tmp; exit 1; }; \
-	dune exec bin/sassi_run.exe -- compare $$tmp/plain.json $$tmp/traced.json \
-	  || { echo "ci: traced campaign diverged from untraced"; rm -rf $$tmp; exit 1; }; \
-	rm -rf $$tmp; \
-	echo "ci: host-trace gate passed"
 	@# Serve gate: boot the daemon on an ephemeral port, POST a
 	@# campaign over HTTP, require (a) a live /metrics scrape whose
 	@# request counter is strictly monotonic across scrapes, and (b) a

@@ -14,7 +14,6 @@ type instr = {
   name : string;
   cond_branch : bool;
   mem : bool;
-  alias : bool;
   fault : string;
 }
 
@@ -114,10 +113,6 @@ let instr (i : Instr.t) =
     name = Opcode.to_string i.Instr.op;
     cond_branch = Instr.is_cond_branch i;
     mem = Opcode.is_mem i.Instr.op;
-    alias =
-      List.exists
-        (fun r -> (not (Reg.is_zero r)) && List.mem (Instr.SReg r) i.Instr.srcs)
-        i.Instr.dsts;
     fault =
       (if negative_reg i then "Exec: negative register index"
        else shape_fault i) }

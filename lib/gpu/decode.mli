@@ -19,7 +19,6 @@ type instr = {
   name : string;  (** [Opcode.to_string op], as trace records print it *)
   cond_branch : bool;
   mem : bool;  (** [Opcode.is_mem op]: the stall class *)
-  alias : bool;  (** a destination GPR is also a source operand *)
   fault : string;
       (** [""], or the [Invalid_argument] message the instruction raises
           when it issues: an operand its opcode needs is missing, a

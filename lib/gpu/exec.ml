@@ -210,8 +210,7 @@ let shared_timing dev sm w ~n ~width ~write =
 
 (* Local (spill/fill) loads and stores. A uniform frame offset makes
    the interleaved physical addresses one contiguous run; otherwise
-   each lane's address goes through the coalescer, read after a load's
-   own register writes. *)
+   each lane's address goes through the coalescer. *)
 let local_access dev sm w ops (d : Decode.instr) m la ~width ~store =
   let n = lane_addrs w ops d m la in
   let frame = frame_bytes w in
@@ -243,7 +242,6 @@ let local_access dev sm w ops (d : Decode.instr) m la ~width ~store =
           ~last_phys:(local_phys w ~lane:(Value.flo m) addr0)
           ~width:4
       else begin
-        if d.Decode.alias then ignore (lane_addrs w ops d m la);
         let k = ref 0 in
         for lane = 0 to warp_size - 1 do
           if on m lane then begin
@@ -401,9 +399,6 @@ let step sm w =
          else reg_write w lane (dst d 0) (Memory.read dev.d_global ~width addr)
        end
      done;
-     (* The coalescer sees each lane's address as it reads after the
-        load's own register writes. *)
-     if d.Decode.alias then ignore (lane_addrs w ops d m la);
      if n > 0 then latency := global_timing dev sm w ~n ~width ~write:false
    | Opcode.LD (Opcode.Shared, width) ->
      let n = lane_addrs w ops d m la in
@@ -415,7 +410,6 @@ let step sm w =
          incr k
        end
      done;
-     if d.Decode.alias then ignore (lane_addrs w ops d m la);
      if n > 0 then latency := shared_timing dev sm w ~n ~width ~write:false
    | Opcode.LD (Opcode.Local, width) ->
      let l = local_access dev sm w ops d m la ~width ~store:false in
@@ -496,7 +490,6 @@ let step sm w =
          if has_dst then reg_write w lane (dst d 0) old
        end
      done;
-     if d.Decode.alias then ignore (lane_addrs w ops d m la);
      if n > 0 then begin
        let r =
          match space with
@@ -531,7 +524,6 @@ let step sm w =
        end
      done;
      if nactive > 0 then begin
-       if d.Decode.alias then texel_addrs w ops d m la ~width;
        let r =
          Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n:nactive
            ~width:(Opcode.bytes_of_width width)

@@ -2,9 +2,9 @@
    thread behind the job API. Request handlers are short (the heavy
    work happens on the pool via the scheduler); the only long-lived
    handlers are /trace followers, which poll the feed in slices and
-   end when the feed closes at shutdown. SIGPIPE is ignored so a
-   follower that disconnects mid-stream costs us an EPIPE, not the
-   process. *)
+   end when the feed closes at shutdown or their peer closes. SIGPIPE
+   is ignored so a follower that disconnects mid-stream costs us an
+   EPIPE, not the process. *)
 
 type config = {
   cfg_host : string;
@@ -96,6 +96,8 @@ let create cfg =
 let port t = t.actual_port
 
 let jobs t = t.jobs_tbl
+
+let pool t = t.pool
 
 let metrics t = t.mtr
 
@@ -203,12 +205,28 @@ let handle_post_job t req oc =
               [ ("id", Trace.Json.Str job.Jobs.jb_id);
                 ("state",
                  Trace.Json.Str (Jobs.state_to_string job.Jobs.jb_state)) ]) )
+     | exception Jobs.Queue_full ->
+       ( 429,
+         Http.error_json
+           ~extra_headers:[ ("Retry-After", string_of_int Jobs.retry_after_s) ]
+           ~code:429 oc
+           (Printf.sprintf "job queue full (%d queued)" Jobs.max_queued) )
      | exception Invalid_argument _ ->
        (503, Http.error_json ~code:503 oc "daemon is shutting down"))
 
+(* A job id the table does not hold: 410 once the finished window has
+   dropped it, 404 if it was never issued. *)
+let missing_job t id oc =
+  if Jobs.evicted t.jobs_tbl id then
+    ( 410,
+      Http.error_json ~code:410 oc
+        (Printf.sprintf "job %s evicted: the newest %d finished jobs are kept"
+           id Jobs.finished_window) )
+  else (404, Http.error_json ~code:404 oc ("no such job: " ^ id))
+
 let handle_manifest t id oc =
   match Jobs.find t.jobs_tbl id with
-  | None -> (404, Http.error_json ~code:404 oc ("no such job: " ^ id))
+  | None -> missing_job t id oc
   | Some j ->
     (match (j.Jobs.jb_state, j.Jobs.jb_manifest) with
      | Jobs.Done, Some m ->
@@ -229,6 +247,25 @@ let record_lines records =
     records;
   Buffer.contents b
 
+(* Longest a follower waits on the feed before it checks its deadline,
+   the daemon's state and its peer again; so also about how long a
+   follower that left holds its thread. *)
+let follow_slice_s = 0.25
+
+(* The peer closed its end: its socket reads ready and yields EOF (or
+   a reset). Anything it sent after its request is discarded. The
+   zero-timeout select keeps the check free for a peer that is still
+   there. *)
+let peer_gone fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> (
+    match Unix.read fd (Bytes.create 512) 0 512 with
+    | 0 -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> true)
+  | exception Unix.Unix_error _ -> false
+
 let handle_trace t req oc =
   let max_records =
     Option.bind (Http.query req "max") int_of_string_opt
@@ -248,7 +285,8 @@ let handle_trace t req oc =
   end
   else begin
     (* Stream until the feed closes, an optional deadline passes, or
-       the client goes away (write failure). *)
+       the client goes away: seen between slices, or as a write
+       failure. *)
     let deadline =
       Option.bind (Http.query req "timeout") float_of_string_opt
       |> Option.map (fun s -> Unix.gettimeofday () +. s)
@@ -272,12 +310,18 @@ let handle_trace t req oc =
          | Some d -> Unix.gettimeofday () >= d
          | None -> false
        in
-       let finished () = Feed.closed t.feed || locked t (fun () -> t.stopping) in
+       let finished () =
+         Feed.closed t.feed
+         || locked t (fun () -> t.stopping)
+         || peer_gone (Unix.descr_of_out_channel oc)
+       in
        while not (finished () || expired ()) do
          let slice =
            match deadline with
-           | Some d -> Float.max 0.05 (Float.min 0.5 (d -. Unix.gettimeofday ()))
-           | None -> 0.5
+           | Some d ->
+             Float.max 0.05
+               (Float.min follow_slice_s (d -. Unix.gettimeofday ()))
+           | None -> follow_slice_s
          in
          let fresh = Feed.wait_beyond t.feed ~seq:!last ~timeout_s:slice in
          if fresh <> [] then begin
@@ -309,7 +353,7 @@ let handle t req oc =
   | "GET", [ "jobs"; id ] ->
     (match Jobs.find t.jobs_tbl id with
      | Some j -> (200, Http.respond_json ~code:200 oc (job_json j))
-     | None -> (404, Http.error_json ~code:404 oc ("no such job: " ^ id)))
+     | None -> missing_job t id oc)
   | "GET", [ "jobs"; id; "manifest" ] -> handle_manifest t id oc
   | "GET", [ "trace" ] -> handle_trace t req oc
   | "POST", [ "shutdown" ] ->

@@ -11,16 +11,19 @@
     - [GET /readyz] — readiness: 200 only when no job is queued or
       running, 503 otherwise.
     - [POST /jobs] — submit a sassi-campaign/1 JSON document; returns
-      202 with the job id.
+      202 with the job id, or 429 with [Retry-After] while
+      {!Jobs.max_queued} jobs wait.
     - [GET /jobs], [GET /jobs/:id] — job table / one job's status,
-      tally, and timings.
+      tally, and timings. The table keeps the newest
+      {!Jobs.finished_window} finished jobs; an older id answers 410.
     - [GET /jobs/:id/manifest] — the finished job's canonical
       manifest, byte-identical to the file `sassi_run campaign
-      --manifest` writes for the same campaign.
+      --manifest` writes for the same campaign (410 once evicted).
     - [GET /trace] — resident activity records as NDJSON (same record
       schema trace files use, so the output pipes straight into
       `sassi_run trace-summary`); [?follow=1] keeps the connection
-      open and streams new records as served jobs emit them.
+      open and streams new records as served jobs emit them, until
+      the client closes its end.
     - [POST /shutdown] — graceful stop.
 
     Every request runs under an [Obs] span (category ["http"]) and
@@ -54,6 +57,9 @@ val port : t -> int
 (** The actual bound port (resolves [cfg_port = 0]). *)
 
 val jobs : t -> Jobs.t
+
+val pool : t -> Par.Pool.t
+(** The pool served jobs execute on. *)
 
 val metrics : t -> Metrics.t
 

@@ -1,5 +1,8 @@
-(* Mutex around a Trace.Ring of (seq, record). Sequence numbers are
-   the ring's own pushed count, so followers can detect gaps caused by
+(* Mutex around a Drop_oldest Trace.Ring of records. A record's
+   sequence number is the ring's pushed count when it went in, so the
+   resident records carry [pushed - length + 1 .. pushed] and a
+   follower's fresh records are the newest [pushed - seq]: no copy of
+   the ring when nothing is new. Followers detect gaps caused by
    Drop_oldest overwrites without any extra state.
 
    Followers poll in short slices instead of blocking on a condition:
@@ -9,7 +12,7 @@
 
 type t = {
   lock : Mutex.t;
-  ring : (int * Trace.Record.t) Trace.Ring.t;
+  ring : Trace.Record.t Trace.Ring.t;
   mutable finished : bool;
 }
 
@@ -25,21 +28,22 @@ let locked t f =
 let push_batch t records =
   locked t (fun () ->
       if not t.finished then
-        List.iter
-          (fun r -> Trace.Ring.push t.ring (Trace.Ring.pushed t.ring + 1, r))
-          records)
+        List.iter (Trace.Ring.push t.ring) records)
 
-let snapshot t = locked t (fun () -> Trace.Ring.to_list t.ring)
+(* Resident records with sequence number [> seq], oldest first; the
+   caller holds the lock. *)
+let beyond t ~seq =
+  let pushed = Trace.Ring.pushed t.ring in
+  let fresh = Trace.Ring.newest t.ring (pushed - seq) in
+  let first = pushed - List.length fresh + 1 in
+  List.mapi (fun i r -> (first + i, r)) fresh
 
-let beyond ~seq rs = List.filter (fun (s, _) -> s > seq) rs
+let snapshot t = locked t (fun () -> beyond t ~seq:0)
 
 let wait_beyond t ~seq ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec go () =
-    let fresh, stop =
-      locked t (fun () ->
-          (beyond ~seq (Trace.Ring.to_list t.ring), t.finished))
-    in
+    let fresh, stop = locked t (fun () -> (beyond t ~seq, t.finished)) in
     if fresh <> [] || stop || Unix.gettimeofday () >= deadline then fresh
     else begin
       Thread.delay 0.05;

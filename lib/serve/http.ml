@@ -121,7 +121,9 @@ let reason = function
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
   | 409 -> "Conflict"
+  | 410 -> "Gone"
   | 413 -> "Payload Too Large"
+  | 429 -> "Too Many Requests"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
@@ -143,12 +145,13 @@ let respond ?content_type ?extra_headers ~code oc body =
   flush oc;
   String.length body
 
-let respond_json ~code oc json =
-  respond ~content_type:"application/json" ~code oc
+let respond_json ?extra_headers ~code oc json =
+  respond ~content_type:"application/json" ?extra_headers ~code oc
     (Trace.Json.to_string json ^ "\n")
 
-let error_json ~code oc msg =
-  respond_json ~code oc (Trace.Json.Obj [ ("error", Trace.Json.Str msg) ])
+let error_json ?extra_headers ~code oc msg =
+  respond_json ?extra_headers ~code oc
+    (Trace.Json.Obj [ ("error", Trace.Json.Str msg) ])
 
 let start_stream ?(content_type = "application/x-ndjson") ~code oc =
   write_head ~content_type ~code oc;

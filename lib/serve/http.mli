@@ -40,12 +40,16 @@ val respond :
     [Content-Length], body) and flush. Returns the body length, for
     the access log. *)
 
-val respond_json : code:int -> out_channel -> Trace.Json.t -> int
+val respond_json :
+  ?extra_headers:(string * string) list ->
+  code:int -> out_channel -> Trace.Json.t -> int
 (** {!respond} with [application/json] and a trailing newline, so a
     fetched job manifest is byte-identical to the file the CLI
     writes. *)
 
-val error_json : code:int -> out_channel -> string -> int
+val error_json :
+  ?extra_headers:(string * string) list ->
+  code:int -> out_channel -> string -> int
 (** [{"error": msg}] with the given status. *)
 
 val start_stream : ?content_type:string -> code:int -> out_channel -> unit

@@ -28,16 +28,32 @@ type job = {
   jb_stats : Gpu.Stats.t option;
 }
 
+(* Bounds on what the table keeps, fixed here rather than configured:
+   a campaign client needs its job only until it has read the
+   manifest, so a window of the newest finished jobs serves every
+   poller that keeps up, and the queue bound turns a flood of POSTs
+   into 429s instead of unbounded memory. *)
+let finished_window = 128
+
+let max_queued = 64
+
+let retry_after_s = 1
+
+exception Queue_full
+
 type t = {
   pool : Par.Pool.t;
   activity : (Trace.Record.t list -> unit) option;
   on_done : (job -> unit) option;
   lock : Mutex.t;
   cond : Condition.t;  (* signaled on submit and stop *)
-  table : (string, job) Hashtbl.t;
-  mutable order : string list;  (* newest first *)
-  mutable queue : string list;  (* newest first; drained from the tail *)
+  table : (string, job) Hashtbl.t;  (* queued, running, finished window *)
+  queue : string Queue.t;  (* queued ids, oldest first *)
+  finished : string Queue.t;  (* finished ids in the table, oldest first *)
+  mutable running : string option;
   mutable next_id : int;
+  mutable n_done : int;
+  mutable n_failed : int;
   mutable stopping : bool;
   mutable scheduler : Thread.t option;
 }
@@ -48,10 +64,13 @@ let create ~pool ?activity ?on_done () =
     on_done;
     lock = Mutex.create ();
     cond = Condition.create ();
-    table = Hashtbl.create 64;
-    order = [];
-    queue = [];
+    table = Hashtbl.create 256;
+    queue = Queue.create ();
+    finished = Queue.create ();
+    running = None;
     next_id = 0;
+    n_done = 0;
+    n_failed = 0;
     stopping = false;
     scheduler = None }
 
@@ -67,16 +86,24 @@ let update t id f =
     Hashtbl.replace t.table id j';
     Some j'
 
-(* Pop the oldest queued id, or wait; None means stop. *)
+(* Pop the oldest queued job and mark it running, or wait; None means
+   stop. One lock hold, so counts never see the job in neither
+   state. *)
 let next_job t =
   Mutex.lock t.lock;
   let rec go () =
-    match List.rev t.queue with
-    | id :: _ ->
-      t.queue <- List.filter (fun x -> x <> id) t.queue;
+    match Queue.take_opt t.queue with
+    | Some id ->
+      let job =
+        { (Hashtbl.find t.table id) with
+          jb_state = Running;
+          jb_started_s = Some (Unix.gettimeofday ()) }
+      in
+      Hashtbl.replace t.table id job;
+      t.running <- Some id;
       Mutex.unlock t.lock;
-      Some id
-    | [] ->
+      Some job
+    | None ->
       if t.stopping then begin
         Mutex.unlock t.lock;
         None
@@ -88,53 +115,56 @@ let next_job t =
   in
   go ()
 
+(* Count a job that reached a terminal state and retire it into the
+   finished window, evicting the oldest finished job beyond it. The
+   caller holds the lock. *)
+let retire t (j : job) =
+  (match j.jb_state with
+   | Failed _ -> t.n_failed <- t.n_failed + 1
+   | _ -> t.n_done <- t.n_done + 1);
+  Queue.add j.jb_id t.finished;
+  if Queue.length t.finished > finished_window then
+    Hashtbl.remove t.table (Queue.take t.finished)
+
 let finish t id f =
   let done_job =
     locked t (fun () ->
-        update t id (fun j ->
-            f { j with jb_finished_s = Some (Unix.gettimeofday ()) }))
+        t.running <- None;
+        let j =
+          update t id (fun j ->
+              f { j with jb_finished_s = Some (Unix.gettimeofday ()) })
+        in
+        Option.iter (retire t) j;
+        j)
   in
   match (done_job, t.on_done) with
   | Some j, Some cb -> cb j
   | _ -> ()
 
-let run_one t id =
-  let spec =
-    locked t (fun () ->
-        match
-          update t id (fun j ->
-              { j with jb_state = Running;
-                jb_started_s = Some (Unix.gettimeofday ()) })
-        with
-        | Some j -> Some j.jb_spec
-        | None -> None)
-  in
-  match spec with
-  | None -> ()
-  | Some spec ->
-    (match
-       Runner.run ~pool:t.pool
-         ?activity:(Option.map (fun f _i records -> f records) t.activity)
-         spec
-     with
-     | Ok outcome ->
-       finish t id (fun j ->
-           { j with jb_state = Done;
-             jb_wall_time_s = Some outcome.Runner.o_wall_time_s;
-             jb_manifest = Some outcome.Runner.o_manifest;
-             jb_tally = Some outcome.Runner.o_tally;
-             jb_stats = Some outcome.Runner.o_stats })
-     | Error msg -> finish t id (fun j -> { j with jb_state = Failed msg })
-     | exception e ->
-       finish t id (fun j ->
-           { j with jb_state = Failed (Printexc.to_string e) }))
+let run_one t (job : job) =
+  let id = job.jb_id in
+  match
+    Runner.run ~pool:t.pool
+      ?activity:(Option.map (fun f _i records -> f records) t.activity)
+      job.jb_spec
+  with
+  | Ok outcome ->
+    finish t id (fun j ->
+        { j with jb_state = Done;
+          jb_wall_time_s = Some outcome.Runner.o_wall_time_s;
+          jb_manifest = Some outcome.Runner.o_manifest;
+          jb_tally = Some outcome.Runner.o_tally;
+          jb_stats = Some outcome.Runner.o_stats })
+  | Error msg -> finish t id (fun j -> { j with jb_state = Failed msg })
+  | exception e ->
+    finish t id (fun j -> { j with jb_state = Failed (Printexc.to_string e) })
 
 let scheduler_loop t =
   let rec go () =
     match next_job t with
     | None -> ()
-    | Some id ->
-      run_one t id;
+    | Some job ->
+      run_one t job;
       go ()
   in
   go ()
@@ -148,6 +178,7 @@ let submit t spec =
   let job =
     locked t (fun () ->
         if t.stopping then invalid_arg "Jobs.submit: daemon is shutting down";
+        if Queue.length t.queue >= max_queued then raise Queue_full;
         t.next_id <- t.next_id + 1;
         let id = Printf.sprintf "job-%d" t.next_id in
         let job =
@@ -163,8 +194,7 @@ let submit t spec =
             jb_stats = None }
         in
         Hashtbl.replace t.table id job;
-        t.order <- id :: t.order;
-        t.queue <- id :: t.queue;
+        Queue.add id t.queue;
         Condition.broadcast t.cond;
         job)
   in
@@ -172,20 +202,30 @@ let submit t spec =
 
 let find t id = locked t (fun () -> Hashtbl.find_opt t.table id)
 
+(* Ids are dense: "job-N" for 1 <= N <= next_id was issued, so one no
+   longer in the table has left the finished window. *)
+let evicted t id =
+  match Scanf.sscanf_opt id "job-%d%!" Fun.id with
+  | Some k when Printf.sprintf "job-%d" k = id ->
+    locked t (fun () ->
+        k >= 1 && k <= t.next_id && not (Hashtbl.mem t.table id))
+  | _ -> false
+
 let list t =
   locked t (fun () ->
-      List.rev_map (fun id -> Hashtbl.find t.table id) t.order)
+      let ids =
+        List.of_seq (Queue.to_seq t.finished)
+        @ Option.to_list t.running
+        @ List.of_seq (Queue.to_seq t.queue)
+      in
+      List.map (Hashtbl.find t.table) ids)
 
 let counts t =
   locked t (fun () ->
-      Hashtbl.fold
-        (fun _ j (q, r, d, f) ->
-           match j.jb_state with
-           | Queued -> (q + 1, r, d, f)
-           | Running -> (q, r + 1, d, f)
-           | Done -> (q, r, d + 1, f)
-           | Failed _ -> (q, r, d, f + 1))
-        t.table (0, 0, 0, 0))
+      ( Queue.length t.queue,
+        (if Option.is_none t.running then 0 else 1),
+        t.n_done,
+        t.n_failed ))
 
 let drained t =
   let q, r, _, _ = counts t in
@@ -197,15 +237,13 @@ let stop t =
         t.stopping <- true;
         (* Jobs still queued will never run; fail them now so pollers
            see a terminal state instead of an eternal "queued". *)
-        List.iter
+        Queue.iter
           (fun id ->
-             ignore
+             Option.iter (retire t)
                (update t id (fun j ->
-                    match j.jb_state with
-                    | Queued -> { j with jb_state = Failed "server shutdown" }
-                    | _ -> j)))
+                    { j with jb_state = Failed "server shutdown" })))
           t.queue;
-        t.queue <- [];
+        Queue.clear t.queue;
         Condition.broadcast t.cond;
         let th = t.scheduler in
         t.scheduler <- None;

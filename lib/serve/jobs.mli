@@ -6,7 +6,24 @@
     with respect to each other (each one already fans out across the
     pool's domains), which keeps pool usage identical to the CLI and
     results deterministic. All table access is mutex-guarded; request
-    threads only ever read copies. *)
+    threads only ever read copies.
+
+    The table is bounded: it holds the queued jobs (at most
+    {!max_queued}), the running one, and the newest {!finished_window}
+    finished ones. Finishing a job evicts the oldest finished job past
+    the window; {!evicted} tells such an id from one never issued. *)
+
+val finished_window : int
+(** Finished jobs kept for {!find} and {!list}: 128. *)
+
+val max_queued : int
+(** Jobs that may wait in the queue before {!submit} refuses: 64. *)
+
+val retry_after_s : int
+(** Seconds a refused client is told to wait ([Retry-After]): 1. *)
+
+exception Queue_full
+(** Raised by {!submit} when {!max_queued} jobs are waiting. *)
 
 type state =
   | Queued
@@ -45,21 +62,28 @@ val start : t -> unit
 
 val submit : t -> Par.Campaign.t -> job
 (** Enqueue; returns the job snapshot in state [Queued].
+    @raise Queue_full when {!max_queued} jobs are already queued.
     @raise Invalid_argument after {!stop}. *)
 
 val find : t -> string -> job option
-(** Snapshot of one job by id. *)
+(** Snapshot of one job by id: [None] for an id never issued or one
+    evicted from the finished window. *)
+
+val evicted : t -> string -> bool
+(** The id was issued but its job has left the finished window. *)
 
 val list : t -> job list
-(** Snapshots, oldest first. *)
+(** Snapshots of every job in the table, oldest first. *)
 
 val drained : t -> bool
 (** No job queued or running — the [/readyz] predicate. *)
 
 val counts : t -> int * int * int * int
-(** (queued, running, done, failed). *)
+(** (queued, running, done, failed), the last two over the daemon's
+    life, evicted jobs included. Constant time. *)
 
 val stop : t -> unit
 (** Refuse new submissions, let the running job (if any) finish, join
     the scheduler thread. Queued jobs that never ran are marked
-    [Failed "server shutdown"]. Idempotent. *)
+    [Failed "server shutdown"] and retire into the finished window.
+    Idempotent. *)

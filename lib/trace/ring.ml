@@ -3,10 +3,18 @@ type 'a overflow =
   | Drop_newest
   | Flush_callback of ('a array -> unit)
 
+(* The buffer holds elements unboxed. It is made at the first push,
+   holding that element, and doubles as elements arrive, up to the
+   capacity, so a ring sized for a long trace costs what it holds.
+   Growing copies with [Array.append], which, unlike [Array.make] of a
+   large array with a young element, never forces a minor collection.
+   A ring grows only while it has neither dropped nor wrapped, so its
+   elements then start at index 0. [empty] lets the buffer go, so no
+   flushed element stays reachable. *)
 type 'a t = {
   cap : int;
   pol : 'a overflow;
-  buf : 'a option array;
+  mutable buf : 'a array;  (* [||] until the first push; at most [cap] *)
   mutable head : int;  (* index of the oldest resident element *)
   mutable len : int;
   mutable pushed : int;
@@ -18,7 +26,7 @@ let create ?(policy = Drop_oldest) ~capacity () =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { cap = capacity;
     pol = policy;
-    buf = Array.make capacity None;
+    buf = [||];
     head = 0;
     len = 0;
     pushed = 0;
@@ -33,19 +41,33 @@ let dropped t = t.dropped
 
 let flushed t = t.flushed
 
+let newest t n =
+  let n = max 0 (min n t.len) in
+  let first = t.head + t.len - n in
+  List.init n (fun i -> t.buf.((first + i) mod t.cap))
+
+let to_list t = newest t t.len
+
+(* Resident elements, oldest first, copied with [Array.sub] for the
+   same reason [store] grows with [Array.append]. *)
 let resident t =
-  Array.init t.len (fun i ->
-      match t.buf.((t.head + i) mod t.cap) with
-      | Some x -> x
-      | None -> assert false)
+  let k = min t.len (t.cap - t.head) in
+  let a = Array.sub t.buf t.head k in
+  if k = t.len then a else Array.append a (Array.sub t.buf 0 (t.len - k))
 
 let empty t =
-  Array.fill t.buf 0 t.cap None;
+  t.buf <- [||];
   t.head <- 0;
   t.len <- 0
 
 let store t x =
-  t.buf.((t.head + t.len) mod t.cap) <- Some x;
+  let n = Array.length t.buf in
+  if t.len = n then
+    t.buf <-
+      (if n = 0 then [| x |]
+       else if 2 * n <= t.cap then Array.append t.buf t.buf
+       else Array.append t.buf (Array.sub t.buf 0 (t.cap - n)));
+  t.buf.((t.head + t.len) mod t.cap) <- x;
   t.len <- t.len + 1
 
 let push t x =
@@ -54,7 +76,7 @@ let push t x =
   else
     match t.pol with
     | Drop_oldest ->
-      t.buf.(t.head) <- Some x;
+      t.buf.(t.head) <- x;
       t.head <- (t.head + 1) mod t.cap;
       t.dropped <- t.dropped + 1
     | Drop_newest -> t.dropped <- t.dropped + 1
@@ -64,8 +86,6 @@ let push t x =
       t.flushed <- t.flushed + Array.length batch;
       f batch;
       store t x
-
-let to_list t = Array.to_list (resident t)
 
 let flush t =
   let xs = to_list t in

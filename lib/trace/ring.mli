@@ -14,7 +14,9 @@ type 'a overflow =
 type 'a t
 
 val create : ?policy:'a overflow -> capacity:int -> unit -> 'a t
-(** [capacity] must be positive. Default policy is [Drop_oldest]. *)
+(** [capacity] must be positive. Default policy is [Drop_oldest].
+    Storage grows with the resident elements, up to [capacity], and is
+    released when the ring empties. *)
 
 val push : 'a t -> 'a -> unit
 
@@ -34,6 +36,10 @@ val flushed : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Resident elements, oldest first. *)
+
+val newest : 'a t -> int -> 'a list
+(** The newest [n] resident elements (all of them when [n] exceeds
+    {!length}), oldest first; copies only those. *)
 
 val flush : 'a t -> 'a list
 (** Return resident elements (oldest first) and empty the buffer;

@@ -400,6 +400,36 @@ let test_coalescing () =
   check Alcotest.int "stride 32: 32 transactions" 32
     s32.Gpu.Stats.global_transactions
 
+(* A load into its own address register, [LD R3, [R3]], is timed on
+   the addresses it read from: 32 consecutive words make 4
+   transactions, though the words it loads, 4 KiB apart, would make
+   32. *)
+let test_self_address_load_coalesces_on_addresses () =
+  let dev = device () in
+  let buf = Gpu.Device.malloc dev (4 * 32) in
+  let out = Gpu.Device.malloc dev (4 * 32) in
+  Gpu.Device.write_i32s dev ~addr:buf (Array.init 32 (fun k -> k * 4096));
+  let k =
+    kernel "self_address"
+      [ i (Opcode.S2R Opcode.Sr_tid_x) ~dsts:[ r 0 ];
+        i Opcode.SHL ~dsts:[ r 2 ] ~srcs:[ sreg 0; imm 2 ];
+        i Opcode.IADD ~dsts:[ r 3 ] ~srcs:[ sreg 2; param 0 ];
+        i (Opcode.LD (Opcode.Global, Opcode.W32)) ~dsts:[ r 3 ]
+          ~srcs:[ sreg 3; imm 0 ];
+        i (Opcode.ST (Opcode.Global, Opcode.W32))
+          ~srcs:[ param 4; sreg 2; sreg 3 ];
+        i Opcode.EXIT ]
+  in
+  let s =
+    Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1)
+      ~args:[ Gpu.Device.Ptr buf; Gpu.Device.Ptr out ]
+  in
+  check (Alcotest.array Alcotest.int) "loaded values"
+    (Array.init 32 (fun k -> k * 4096))
+    (Gpu.Device.read_i32s dev ~addr:out ~n:32);
+  check Alcotest.int "load timed on its 32 consecutive addresses" 4
+    s.Gpu.Stats.gld_transactions
+
 let test_coalesce_function () =
   let lines = Gpu.Memsys.coalesce ~line_bytes:32 [ (0, 4); (4, 4); (28, 8) ] in
   check (Alcotest.list Alcotest.int) "straddle" [ 0; 1 ] lines;
@@ -961,6 +991,8 @@ let suite =
        Alcotest.test_case "memory fault" `Quick test_memory_fault;
        Alcotest.test_case "hang watchdog" `Quick test_hang_watchdog;
        Alcotest.test_case "coalescing" `Quick test_coalescing;
+       Alcotest.test_case "self-address load coalescing" `Quick
+         test_self_address_load_coalesces_on_addresses;
        Alcotest.test_case "ragged block" `Quick test_ragged_block;
        Alcotest.test_case "many blocks" `Quick test_many_blocks ]);
     extra_suite ]

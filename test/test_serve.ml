@@ -15,6 +15,29 @@ let tiny_campaign =
       Par.Campaign.job ~variant:"small" ~kind:Par.Campaign.Inject
         ~injections:2 "parboil/spmv" ]
 
+(* One plain run of the cheapest workload, a few milliseconds: the
+   soak test's unit of work. *)
+let nn_campaign i =
+  Par.Campaign.make ~name:(Printf.sprintf "nn-%d" i) ~seed:i
+    [ Par.Campaign.job ~kind:Par.Campaign.Run "rodinia/nn" ]
+
+(* A campaign whose job fails at once: its workload does not exist. *)
+let failing_campaign i =
+  Par.Campaign.make ~name:(Printf.sprintf "bad-%d" i) ~seed:i
+    [ Par.Campaign.job "no/such-workload" ]
+
+(* Poll [ready] until it holds. The deadline only keeps a broken build
+   from hanging the run; no assertion depends on it. *)
+let wait_for what ready =
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while not (ready ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "never %s" what;
+    Thread.delay 0.001
+  done
+
+let wait_drained jobs =
+  wait_for "drained" (fun () -> Serve.Jobs.drained jobs)
+
 let manifest_bytes m =
   Trace.Json.to_string (Telemetry.Manifest.to_json m) ^ "\n"
 
@@ -33,7 +56,7 @@ let parse_raw raw =
    read to EOF (every daemon response is Connection: close) without
    closing the sending side. The receive timeout turns a reply that
    never comes into an exception, not a hung run. *)
-let exchange port raw =
+let exchange_raw port raw =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -54,7 +77,11 @@ let exchange port raw =
      go ()
    with End_of_file -> ());
   (try close_in ic with _ -> ());
-  let raw = Buffer.contents buf in
+  Buffer.contents buf
+
+(* Status code and body of the reply to [raw]. *)
+let exchange port raw =
+  let raw = exchange_raw port raw in
   let code =
     try int_of_string (String.sub raw (String.index raw ' ' + 1) 3)
     with _ -> 0
@@ -70,12 +97,14 @@ let exchange port raw =
   in
   (code, body)
 
+let request_text ~body ~meth ~path =
+  Printf.sprintf
+    "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+     Connection: close\r\n\r\n%s"
+    meth path (String.length body) body
+
 let http_request ?(body = "") ~meth ~path port =
-  exchange port
-    (Printf.sprintf
-       "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
-        Connection: close\r\n\r\n%s"
-       meth path (String.length body) body)
+  exchange port (request_text ~body ~meth ~path)
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -361,6 +390,107 @@ let test_jobs_manifest_matches_runner () =
       check Alcotest.string "scheduled job manifest == direct runner manifest"
         (manifest_bytes direct) (manifest_bytes served))
 
+let counts jobs =
+  let q, r, d, f = Serve.Jobs.counts jobs in
+  [ q; r; d; f ]
+
+(* With no scheduler draining it, the queue takes [max_queued] jobs
+   and refuses the next one; stop fails the queued jobs. *)
+let test_jobs_queue_full () =
+  Par.Pool.with_pool ~domains:1 (fun pool ->
+      let jobs = Serve.Jobs.create ~pool () in
+      let bound = Serve.Jobs.max_queued in
+      for i = 1 to bound do
+        ignore (Serve.Jobs.submit jobs (nn_campaign i))
+      done;
+      (match Serve.Jobs.submit jobs (nn_campaign 0) with
+       | exception Serve.Jobs.Queue_full -> ()
+       | j ->
+         Alcotest.failf "submit %d accepted as %s" (bound + 1)
+           j.Serve.Jobs.jb_id);
+      check Alcotest.(list int) "all queued" [ bound; 0; 0; 0 ] (counts jobs);
+      check Alcotest.bool "not drained" false (Serve.Jobs.drained jobs);
+      Serve.Jobs.stop jobs;
+      check Alcotest.(list int) "queued jobs failed at stop" [ 0; 0; 0; bound ]
+        (counts jobs);
+      check Alcotest.bool "every job failed by the shutdown" true
+        (List.for_all
+           (fun j -> j.Serve.Jobs.jb_state = Serve.Jobs.Failed "server shutdown")
+           (Serve.Jobs.list jobs)))
+
+(* The table keeps the newest [finished_window] finished jobs; an id
+   that left it is told apart from one never issued. *)
+let test_jobs_finished_window () =
+  Par.Pool.with_pool ~domains:1 (fun pool ->
+      let jobs = Serve.Jobs.create ~pool () in
+      Serve.Jobs.start jobs;
+      let window = Serve.Jobs.finished_window in
+      let n = window + 2 in
+      for i = 1 to n do
+        ignore (Serve.Jobs.submit jobs (failing_campaign i));
+        wait_drained jobs
+      done;
+      check Alcotest.(list int) "counts cover evicted jobs" [ 0; 0; 0; n ]
+        (counts jobs);
+      check Alcotest.(list string) "the newest window, oldest first"
+        (List.init window (fun i -> Printf.sprintf "job-%d" (i + 3)))
+        (List.map (fun j -> j.Serve.Jobs.jb_id) (Serve.Jobs.list jobs));
+      check Alcotest.bool "oldest evicted" true
+        (Serve.Jobs.find jobs "job-1" = None);
+      List.iter
+        (fun (id, expect) ->
+           check Alcotest.bool ("evicted " ^ id) expect
+             (Serve.Jobs.evicted jobs id))
+        [ ("job-1", true); ("job-2", true); ("job-3", false);
+          (Printf.sprintf "job-%d" (n + 1), false); ("job-0", false);
+          ("job-01", false); ("job-", false); ("nope", false) ];
+      Serve.Jobs.stop jobs)
+
+(* 600 one-job campaigns through submit and find, as a polling client
+   drives the table: it keeps the newest 128, counts all 600, and its
+   live words after the last job are within 10% of those after the
+   200th. *)
+let test_jobs_soak_flat_memory () =
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let jobs = Serve.Jobs.create ~pool () in
+      Serve.Jobs.start jobs;
+      let total = 600 in
+      let run i =
+        let id = (Serve.Jobs.submit jobs (nn_campaign i)).Serve.Jobs.jb_id in
+        wait_for (id ^ " done") (fun () ->
+            match Serve.Jobs.find jobs id with
+            | Some { Serve.Jobs.jb_state = Serve.Jobs.Done; jb_manifest = Some _; _ }
+              -> true
+            | Some { Serve.Jobs.jb_state = Serve.Jobs.Failed e; _ } ->
+              Alcotest.failf "%s failed: %s" id e
+            | Some _ -> false
+            | None -> Alcotest.failf "%s left the table before it was read" id)
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let at_200 = ref 0 in
+      for i = 1 to total do
+        run i;
+        if i = 200 then at_200 := live_words ()
+      done;
+      let at_600 = live_words () in
+      Serve.Jobs.stop jobs;
+      let window = Serve.Jobs.finished_window in
+      check Alcotest.int "jobs kept" window (List.length (Serve.Jobs.list jobs));
+      let gone = total - window in
+      check Alcotest.bool (Printf.sprintf "oldest %d ids gone" gone) true
+        (List.for_all
+           (fun i ->
+              let id = Printf.sprintf "job-%d" i in
+              Serve.Jobs.find jobs id = None && Serve.Jobs.evicted jobs id)
+           (List.init gone (fun i -> i + 1)));
+      check Alcotest.(list int) "all done" [ 0; 0; total; 0 ] (counts jobs);
+      if abs (at_600 - !at_200) * 10 > !at_200 then
+        Alcotest.failf "live words %d after job 200, %d after job %d (over 10%%)"
+          !at_200 at_600 total)
+
 (* --- Daemon (in-process, over real sockets) ----------------------------- *)
 
 let with_daemon f =
@@ -544,6 +674,130 @@ let test_daemon_concurrent_connections () =
       check Alcotest.int "clients finished" 4 (Atomic.get finished);
       check Alcotest.int "failed exchanges of 4 x 50" 0 (Atomic.get failed))
 
+(* Once the finished window has dropped a job, its status and manifest
+   answer 410; an id never issued stays 404. *)
+let test_daemon_evicted_job_gone () =
+  with_daemon (fun d port ->
+      let jobs = Serve.Daemon.jobs d in
+      let n = Serve.Jobs.finished_window + 1 in
+      for i = 1 to n do
+        ignore (Serve.Jobs.submit jobs (failing_campaign i));
+        wait_drained jobs
+      done;
+      let code path = fst (http_request ~meth:"GET" ~path port) in
+      check Alcotest.int "evicted status" 410 (code "/jobs/job-1");
+      check Alcotest.int "evicted manifest" 410 (code "/jobs/job-1/manifest");
+      check Alcotest.int "oldest kept" 200 (code "/jobs/job-2");
+      check Alcotest.int "never issued" 404
+        (code (Printf.sprintf "/jobs/job-%d" (n + 1))))
+
+(* With the running job held on the pool, [max_queued] more POSTs are
+   accepted and the next one gets 429 with Retry-After. The pool's
+   workers are held by tasks that wait for a flag, so the outcome does
+   not depend on how long anything takes. *)
+let test_daemon_queue_full_429 () =
+  with_daemon (fun d port ->
+      let pool = Serve.Daemon.pool d in
+      let release = Atomic.make false in
+      let blockers =
+        List.init (Par.Pool.size pool) (fun _ ->
+            Par.Pool.submit pool (fun () ->
+                while not (Atomic.get release) do
+                  Unix.sleepf 0.001
+                done))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+            Atomic.set release true;
+            List.iter Par.Pool.await blockers)
+        (fun () ->
+           let post i =
+             http_request ~meth:"POST" ~path:"/jobs"
+               ~body:(Trace.Json.to_string (Par.Campaign.to_json (nn_campaign i)))
+               port
+           in
+           check Alcotest.int "first job accepted" 202 (fst (post 0));
+           wait_for "job-1 running" (fun () ->
+               match Serve.Jobs.find (Serve.Daemon.jobs d) "job-1" with
+               | Some { Serve.Jobs.jb_state = Serve.Jobs.Running; _ } -> true
+               | _ -> false);
+           for i = 1 to Serve.Jobs.max_queued do
+             check Alcotest.int (Printf.sprintf "queued job %d accepted" i) 202
+               (fst (post i))
+           done;
+           let raw =
+             exchange_raw port
+               (request_text ~meth:"POST" ~path:"/jobs"
+                  ~body:(Trace.Json.to_string
+                           (Par.Campaign.to_json (nn_campaign 0))))
+           in
+           check Alcotest.bool "429 status line" true
+             (contains ~needle:"HTTP/1.1 429 Too Many Requests\r\n" raw);
+           check Alcotest.bool "Retry-After header" true
+             (contains
+                ~needle:
+                  (Printf.sprintf "Retry-After: %d\r\n" Serve.Jobs.retry_after_s)
+                raw);
+           let code, _ = http_request ~meth:"GET" ~path:"/readyz" port in
+           check Alcotest.int "busy while jobs wait" 503 code))
+
+(* Followers that connect and close while no record arrives: each
+   handler notices within a second, returns and logs its request, and
+   the daemon still answers. *)
+let test_daemon_reaps_departed_followers () =
+  let log = Filename.temp_file "sassi-access" ".log" in
+  let ch = open_out log in
+  let d =
+    Serve.Daemon.create
+      { Serve.Daemon.default_config with
+        Serve.Daemon.cfg_port = 0;
+        cfg_pool_jobs = 1;
+        cfg_access_log = Some ch }
+  in
+  let th = Serve.Daemon.start d in
+  let port = Serve.Daemon.port d in
+  Fun.protect
+    ~finally:(fun () ->
+        Serve.Daemon.shutdown d;
+        Thread.join th;
+        close_out ch;
+        Sys.remove log)
+    (fun () ->
+       let followers = 5 in
+       for _ = 1 to followers do
+         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+         Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
+             Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+             let rq = "GET /trace?follow=1 HTTP/1.1\r\nHost: x\r\n\r\n" in
+             ignore (Unix.write_substring fd rq 0 (String.length rq));
+             (* Leave once the stream's head has arrived. *)
+             let head = Buffer.create 256 and b = Bytes.create 256 in
+             while not (contains ~needle:"\r\n\r\n" (Buffer.contents head)) do
+               let n = Unix.read fd b 0 256 in
+               if n = 0 then Alcotest.fail "follower stream closed early";
+               Buffer.add_subbytes head b 0 n
+             done)
+       done;
+       let logged () =
+         In_channel.with_open_text log In_channel.input_all
+         |> String.split_on_char '\n'
+         |> List.filter (contains ~needle:"\"endpoint\":\"trace\"")
+         |> List.length
+       in
+       let deadline = Unix.gettimeofday () +. 1.0 in
+       while logged () < followers && Unix.gettimeofday () < deadline do
+         Thread.delay 0.02
+       done;
+       check Alcotest.int "followers' requests logged within a second"
+         followers (logged ());
+       let code, _ = http_request ~meth:"GET" ~path:"/healthz" port in
+       check Alcotest.int "healthz still answers" 200 code;
+       let _, metrics = http_request ~meth:"GET" ~path:"/metrics" port in
+       check (Alcotest.option (Alcotest.float 0.0))
+         "only the scrape itself in flight" (Some 1.0)
+         (series_value "sassi_serve_in_flight" metrics))
+
 let test_daemon_shutdown_via_http () =
   let d =
     Serve.Daemon.create
@@ -589,7 +843,13 @@ let suite =
     ("serve.jobs",
      [ Alcotest.test_case "lifecycle, counts, stop" `Slow test_jobs_lifecycle;
        Alcotest.test_case "scheduled manifest equals direct runner" `Slow
-         test_jobs_manifest_matches_runner ]);
+         test_jobs_manifest_matches_runner;
+       Alcotest.test_case "queue bound raises Queue_full" `Quick
+         test_jobs_queue_full;
+       Alcotest.test_case "finished window evicts oldest" `Quick
+         test_jobs_finished_window;
+       Alcotest.test_case "soak: 600 jobs, flat memory" `Slow
+         test_jobs_soak_flat_memory ]);
     ("serve.daemon",
      [ Alcotest.test_case "probes and routing" `Quick
          test_daemon_probes_and_routing;
@@ -603,5 +863,11 @@ let suite =
          test_daemon_unterminated_line;
        Alcotest.test_case "stalled request line times out" `Quick
          test_daemon_read_timeout;
+       Alcotest.test_case "evicted job answers 410" `Quick
+         test_daemon_evicted_job_gone;
+       Alcotest.test_case "full queue answers 429" `Quick
+         test_daemon_queue_full_429;
+       Alcotest.test_case "departed followers reaped" `Quick
+         test_daemon_reaps_departed_followers;
        Alcotest.test_case "HTTP shutdown" `Quick test_daemon_shutdown_via_http
      ]) ]

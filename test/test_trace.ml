@@ -224,6 +224,36 @@ let test_ring_flush_and_clear () =
        false
      with Invalid_argument _ -> true)
 
+(* Elements are stored unboxed: a push of an existing element
+   allocates nothing once the buffer exists. *)
+let test_ring_push_allocation () =
+  let r = Trace.Ring.create ~capacity:64 () in
+  let x =
+    Trace.Record.make ~cycle:1 ~sm:0 ~warp:0
+      (Trace.Record.Kernel_exit { name = "k"; launch_id = 1; cycles = 1 })
+  in
+  let pushes = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to pushes do
+    Trace.Ring.push r x
+  done;
+  let per_push = (Gc.minor_words () -. before) /. float_of_int pushes in
+  if per_push >= 0.5 then
+    Alcotest.failf "%.2f minor words per push (limit 0.5)" per_push;
+  check Alcotest.int "resident" 64 (Trace.Ring.length r)
+
+let test_ring_newest () =
+  let r = Trace.Ring.create ~capacity:4 () in
+  check (Alcotest.list Alcotest.int) "empty ring" [] (Trace.Ring.newest r 3);
+  for i = 0 to 5 do
+    Trace.Ring.push r i
+  done;
+  check (Alcotest.list Alcotest.int) "newest 2 across the wrap" [ 4; 5 ]
+    (Trace.Ring.newest r 2);
+  check (Alcotest.list Alcotest.int) "clamped to resident" [ 2; 3; 4; 5 ]
+    (Trace.Ring.newest r 10);
+  check (Alcotest.list Alcotest.int) "none" [] (Trace.Ring.newest r (-1))
+
 (* --- A traced kernel run -------------------------------------------------- *)
 
 let saxpy =
@@ -670,8 +700,10 @@ let suite =
       [ Alcotest.test_case "drop-oldest" `Quick test_ring_drop_oldest;
         Alcotest.test_case "drop-newest" `Quick test_ring_drop_newest;
         Alcotest.test_case "flush-callback" `Quick test_ring_flush_callback;
-        Alcotest.test_case "flush-and-clear" `Quick test_ring_flush_and_clear
-      ] );
+        Alcotest.test_case "flush-and-clear" `Quick test_ring_flush_and_clear;
+        Alcotest.test_case "push allocates nothing" `Quick
+          test_ring_push_allocation;
+        Alcotest.test_case "newest" `Quick test_ring_newest ] );
     ( "trace.activity",
       [ Alcotest.test_case "lifecycle" `Quick test_activity_lifecycle;
         Alcotest.test_case "kind filter" `Quick test_activity_filter;
