@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what a pipeline should run.
 
-.PHONY: all build test fmt lint ci clean profile telemetry bench-parallel \
+.PHONY: all build test fmt lint ci clean profile telemetry \
 	bench-analysis-mem perfbench
 
 # Workload for `make profile`, e.g. `make profile WORKLOAD=parboil/sgemm`.
@@ -100,34 +100,6 @@ ci: fmt
 	  || { echo "ci: traced campaign diverged from untraced"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "ci: parallel campaign determinism and host-trace checks passed"
-	@# Device-sharding determinism: a --device-domains 4 run must be
-	@# byte-identical to --device-domains 1 — stats JSON, output
-	@# digest, telemetry export and the Chrome device trace all cmp
-	@# clean. Covers a kernel that shards (sgemm), one forced
-	@# sequential by cross-block atomics (histo), one by the
-	@# plain-store alias scan (lud), and a workload whose launches mix
-	@# both verdicts (gaussian: 94 of 141 fall back). Both runs write
-	@# the same file names, since stdout echoes them.
-	@tmp=$$(mktemp -d); \
-	for w in parboil/sgemm parboil/histo rodinia/lud rodinia/gaussian; do \
-	  slug=$$(echo $$w | tr / -); \
-	  dune exec bin/sassi_run.exe -- run $$w --stats-json \
-	    --telemetry-out $$tmp/tele.json --trace $$tmp/trace.json \
-	    --device-domains 1 > $$tmp/$$slug-d1.out; \
-	  mv $$tmp/tele.json $$tmp/$$slug-d1.tele; \
-	  mv $$tmp/trace.json $$tmp/$$slug-d1.json; \
-	  dune exec bin/sassi_run.exe -- run $$w --stats-json \
-	    --telemetry-out $$tmp/tele.json --trace $$tmp/trace.json \
-	    --device-domains 4 > $$tmp/$$slug-d4.out; \
-	  cmp -s $$tmp/$$slug-d1.out $$tmp/$$slug-d4.out \
-	    || { echo "ci: $$w stats diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
-	  cmp -s $$tmp/$$slug-d1.tele $$tmp/tele.json \
-	    || { echo "ci: $$w telemetry diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
-	  cmp -s $$tmp/$$slug-d1.json $$tmp/trace.json \
-	    || { echo "ci: $$w device trace diverged across --device-domains"; rm -rf $$tmp; exit 1; }; \
-	done; \
-	rm -rf $$tmp; \
-	echo "ci: device-sharding determinism check passed"
 	@# Serve gate: boot the daemon on an ephemeral port, POST a
 	@# campaign over HTTP, require (a) a live /metrics scrape whose
 	@# request counter is strictly monotonic across scrapes, and (b) a
@@ -175,11 +147,6 @@ ci: fmt
 	  || { echo "ci: serve exited non-zero after shutdown"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "ci: serve gate passed (port $$port, served manifest == CLI manifest)"
-
-# Sequential-vs-parallel wall clock and bit-identity on two task
-# mixes; writes BENCH_parallel.json (see EXPERIMENTS.md).
-bench-parallel: build
-	dune exec bench/main.exe -- parallel --jobs 4
 
 # Static memory predictions vs the machine: per-site bank-conflict
 # degree and coalesced line counts, audited in-simulator; writes

@@ -14,16 +14,12 @@
      fig10   - error injection outcomes (Case Study IV)
      table3  - instrumentation overheads (T wall-clock, K kernel cycles)
      analysis - static-analyzer wall time per kernel across the suite
-     parallel - domain-pool campaign runner: seq-vs-par wall clock and
-                bit-identity check, emits BENCH_parallel.json
 
    Speed of the simulator itself is measured by perfbench/ (see
    BENCHMARK.json), not here.
 
    Flags: --quick (reduced injection counts), --jobs N (domain-pool
-   width for the matrix experiments; 1 = sequential), --seed S,
-   --device-domains N (intra-device SM sharding width for the
-   `parallel` experiment's device part). *)
+   width for the matrix experiments; 1 = sequential), --seed S. *)
 
 (* The typed run configuration, threaded into every experiment: no
    more bare refs consulted ad hoc, and `--quick`/`--jobs`/`--seed`
@@ -32,7 +28,6 @@ type runcfg = {
   quick : bool;
   jobs : int;
   seed : int;
-  device_domains : int;  (* intra-device sharding width (parallel) *)
   pool : Par.Pool.t;  (* inline executor when jobs = 1 *)
 }
 
@@ -57,10 +52,10 @@ let section title =
   Printf.printf "\n%s\n%s\n%s\n%!" hline title hline
 
 (* Combined manifests for the matrix experiments (table1, fig10).
-   Deliberately deterministic artifacts: wall time is zeroed (it lives
-   in BENCH_parallel.json instead) and --jobs is stripped from argv,
-   so `bench table1 --jobs 1` and `--jobs 4` write byte-identical
-   files — the determinism contract reduced to a `cmp`. *)
+   Deliberately deterministic artifacts: wall time is zeroed and --jobs
+   is stripped from argv, so `bench table1 --jobs 1` and `--jobs 4`
+   write byte-identical files — the determinism contract reduced to a
+   `cmp`. *)
 let write_experiment_manifest ~experiment ~rc ~counters ~histograms =
   let dir = "bench-manifests" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -740,169 +735,6 @@ let analysis rc =
     "  total: %d instrs, %.1f us for one verify of every kernel\n%!"
     !total_instrs !total_us
 
-(* --- parallel: seq-vs-par wall clock and bit-identity ---------------------- *)
-
-(* Two representative task mixes: plain instrumented runs (table1
-   cells) and full injection campaigns (fig10 apps at reduced
-   injection counts). Each mix runs once on a one-domain inline pool
-   and once on the --jobs pool; the results must compare structurally
-   equal, and both wall clocks land in BENCH_parallel.json. On a
-   single-core host the speedup hovers around 1.0x (domains time-slice
-   one CPU); the bit-identity columns are the point there. *)
-let parallel_run_rows =
-  [ ("parboil", "sgemm", "small"); ("parboil", "sgemm", "medium");
-    ("parboil", "bfs", "NY"); ("parboil", "tpacf", "small");
-    ("rodinia", "gaussian", "default"); ("rodinia", "srad_v1", "default") ]
-
-let parallel_campaign_apps =
-  [ ("parboil/sgemm", "small"); ("parboil/spmv", "small");
-    ("rodinia/nn", "default") ]
-
-(* Intra-device sharding rows for the `device` part: two shardable
-   kernels that spread SMs over domains, and histo, whose cross-block
-   atomics exercise the deterministic sequential fallback. *)
-let parallel_device_rows =
-  [ ("parboil/sgemm", "medium"); ("parboil/spmv", "large");
-    ("parboil/histo", "default") ]
-
-(* One run of [name] with the process-wide device-domain default set
-   to [d]; observes everything the sharding contract promises to keep
-   bit-identical (output digest, summary line, full stats) plus the
-   eligibility-fallback count. *)
-let device_observe name variant d =
-  Gpu.Device.set_default_domains d;
-  Fun.protect ~finally:(fun () -> Gpu.Device.set_default_domains 1)
-  @@ fun () ->
-  let w = wl name in
-  let device = Gpu.Device.create ~cfg () in
-  let r, dt = timed (fun () -> w.Workloads.Workload.run device ~variant) in
-  ( (r.Workloads.Workload.output_digest,
-     r.Workloads.Workload.stdout,
-     Gpu.Stats.to_assoc r.Workloads.Workload.stats),
-    Gpu.Device.sharding_fallbacks device,
-    dt )
-
-let parallel rc =
-  section
-    (Printf.sprintf
-       "parallel: campaign-runner determinism and wall clock, sequential \
-        (--jobs 1) vs parallel (--jobs %d)"
-       rc.jobs);
-  let run_part name tasks =
-    let rs_seq, t_seq =
-      Par.Pool.with_pool ~domains:1 (fun p ->
-          timed (fun () ->
-              Par.Campaign.run_tasks p tasks ~on_result:(fun _ _ -> ())))
-    in
-    let rs_par, t_par =
-      timed (fun () ->
-          Par.Campaign.run_tasks rc.pool tasks ~on_result:(fun _ _ -> ()))
-    in
-    let identical = rs_seq = rs_par in
-    Printf.printf
-      "%-10s | %2d tasks | seq %6.2fs  par %6.2fs  speedup %4.2fx  %s\n%!"
-      name (Array.length tasks) t_seq t_par
-      (t_seq /. max 1e-6 t_par)
-      (if identical then "bit-identical" else "MISMATCH");
-    (name, Array.length tasks, t_seq, t_par, identical)
-  in
-  let run_tasks =
-    Array.of_list parallel_run_rows
-    |> Array.map (fun (suite, bench, variant) ->
-        fun () ->
-          let s, _, r = branch_summary suite bench variant in
-          (s, Gpu.Stats.to_assoc r.Workloads.Workload.stats))
-  in
-  let injections = if rc.quick then 4 else 8 in
-  let campaign_tasks =
-    Array.of_list parallel_campaign_apps
-    |> Array.mapi (fun i (name, variant) ->
-        fun () ->
-          let w = wl name in
-          let seed = Par.Seed.split ~seed:rc.seed ~index:i in
-          let d =
-            Workloads.Campaign.run_detailed ~cfg ~seed ~injections w ~variant
-          in
-          (d.Workloads.Campaign.d_outcomes,
-           Gpu.Stats.to_assoc d.Workloads.Campaign.d_stats))
-  in
-  let parts =
-    [ run_part "runs" run_tasks; run_part "campaigns" campaign_tasks ]
-  in
-  (* Device part: the same single run sequential vs sharded across
-     --device-domains OCaml domains. Across-run parallelism above
-     cannot shrink one heavy run; this is the knob that can. *)
-  let ddomains = max 2 rc.device_domains in
-  Printf.printf
-    "\nintra-device sharding (--device-domains %d, %d SMs):\n%!" ddomains
-    cfg.Gpu.Config.num_sms;
-  let device_rows =
-    List.map
-      (fun (name, variant) ->
-        let obs_seq, _, t_seq = device_observe name variant 1 in
-        let obs_par, fallbacks, t_par = device_observe name variant ddomains in
-        let identical = obs_seq = obs_par in
-        Printf.printf
-          "%-16s %-8s | seq %6.2fs  sharded %6.2fs  speedup %4.2fx  \
-           fallbacks %3d  %s\n%!"
-          name variant t_seq t_par
-          (t_seq /. max 1e-6 t_par)
-          fallbacks
-          (if identical then "bit-identical" else "MISMATCH");
-        (name, variant, t_seq, t_par, identical, fallbacks))
-      parallel_device_rows
-  in
-  let device_identical =
-    List.for_all (fun (_, _, _, _, i, _) -> i) device_rows
-  in
-  let json =
-    Trace.Json.Obj
-      [ ("schema", Trace.Json.Str "sassi-bench-parallel/3");
-        ("jobs", Trace.Json.Int rc.jobs);
-        ("seed", Trace.Json.Int rc.seed);
-        ("host_domains",
-         Trace.Json.Int (Domain.recommended_domain_count ()));
-        ("parts",
-         Trace.Json.List
-           (List.map
-              (fun (name, n, t_seq, t_par, identical) ->
-                 Trace.Json.Obj
-                   [ ("name", Trace.Json.Str name);
-                     ("tasks", Trace.Json.Int n);
-                     ("t_seq_s", Trace.Json.Float t_seq);
-                     ("t_par_s", Trace.Json.Float t_par);
-                     ("speedup",
-                      Trace.Json.Float (t_seq /. max 1e-6 t_par));
-                     ("bit_identical", Trace.Json.Bool identical) ])
-              parts));
-        ("device",
-         Trace.Json.Obj
-           [ ("device_domains", Trace.Json.Int ddomains);
-             ("num_sms", Trace.Json.Int cfg.Gpu.Config.num_sms);
-             ("bit_identical", Trace.Json.Bool device_identical);
-             ("rows",
-              Trace.Json.List
-                (List.map
-                   (fun (name, variant, t_seq, t_par, identical, fallbacks) ->
-                      Trace.Json.Obj
-                        [ ("name", Trace.Json.Str name);
-                          ("variant", Trace.Json.Str variant);
-                          ("t_seq_s", Trace.Json.Float t_seq);
-                          ("t_sharded_s", Trace.Json.Float t_par);
-                          ("speedup",
-                           Trace.Json.Float (t_seq /. max 1e-6 t_par));
-                          ("bit_identical", Trace.Json.Bool identical);
-                          ("fallbacks", Trace.Json.Int fallbacks) ])
-                   device_rows)) ]) ]
-  in
-  Trace.Json.write_file "BENCH_parallel.json" json;
-  Printf.printf "\nwrote BENCH_parallel.json\n%!";
-  if not (List.for_all (fun (_, _, _, _, i) -> i) parts && device_identical)
-  then begin
-    Printf.eprintf "parallel: determinism violation (see MISMATCH rows)\n";
-    exit 1
-  end
-
 (* --- analysis-mem: static memory predictions vs the machine ---------------- *)
 
 (* Launch facts captured on a kernel's first launch; the parameter
@@ -1226,11 +1058,10 @@ let all rc =
 
 let usage =
   "table1|fig5|fig7|fig8|table2|fig10|table3|cachesim|scaling|profiling|\
-   telemetry|analysis|analysis-mem|parallel|all"
+   telemetry|analysis|analysis-mem|all"
 
 let () =
   let quick = ref false and jobs = ref 1 and seed = ref 2025 in
-  let device_domains = ref 4 in
   let bad fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
   let rec parse acc = function
     | [] -> List.rev acc
@@ -1252,22 +1083,12 @@ let () =
           parse acc rest
         | None -> bad "bench: --seed expects an integer")
     | [ "--seed" ] -> bad "bench: --seed expects an argument"
-    | "--device-domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-          device_domains := n;
-          parse acc rest
-        | _ -> bad "bench: --device-domains expects a positive integer")
-    | [ "--device-domains" ] -> bad "bench: --device-domains expects an argument"
     | "--" :: rest -> parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
   let cmds = parse [] (List.tl (Array.to_list Sys.argv)) in
   let pool = Par.Pool.create ~domains:!jobs () in
-  let rc =
-    { quick = !quick; jobs = !jobs; seed = !seed;
-      device_domains = !device_domains; pool }
-  in
+  let rc = { quick = !quick; jobs = !jobs; seed = !seed; pool } in
   let t0 = Unix.gettimeofday () in
   (match cmds with
    | [] -> all rc
@@ -1287,7 +1108,6 @@ let () =
          | "telemetry" -> telemetry rc
          | "analysis" -> analysis rc
          | "analysis-mem" -> analysis_mem rc
-         | "parallel" -> parallel rc
          | "all" -> all rc
          | other ->
            Printf.eprintf "unknown experiment %s (%s)\n" other usage;

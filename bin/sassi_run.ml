@@ -185,12 +185,10 @@ let parse_metrics = function
 let run_workload name variant instrument show_stats trace_out trace_filter
     trace_capacity profile pc_sampling_period metrics_spec profile_out
     stats_json telemetry telemetry_interval telemetry_out manifest_out seed
-    l1_bytes host_trace device_domains =
+    l1_bytes host_trace =
   check_positive "--trace-capacity" trace_capacity;
   check_positive "--pc-sampling-period" pc_sampling_period;
   check_positive "--telemetry-interval" telemetry_interval;
-  check_positive "--device-domains" device_domains;
-  Gpu.Device.set_default_domains device_domains;
   (match l1_bytes with
    | Some b -> check_positive "--l1-bytes" b
    | None -> ());
@@ -405,12 +403,8 @@ let compare_manifests path_a path_b threshold all =
   if Telemetry.Compare.regressions r <> [] then 1 else 0
 
 let campaign target variant injections seed jobs manifest_out host_trace
-    host_metrics progress device_domains =
+    host_metrics progress =
   check_positive "--injections" injections;
-  check_positive "--device-domains" device_domains;
-  (* Campaign devices are created inside pool tasks on worker domains;
-     the process-wide default is how the setting reaches them. *)
-  Gpu.Device.set_default_domains device_domains;
   check_jobs jobs;
   (* The positional argument is either a campaign job-manifest file
      (sassi-campaign/1 JSON, see Par.Campaign) or a registry workload
@@ -522,9 +516,7 @@ let campaign target variant injections seed jobs manifest_out host_trace
    POST /shutdown (or SIGINT) arrives. The listening line is printed
    first and flushed so scripts that need the resolved ephemeral port
    can scrape it from stdout. *)
-let serve port host jobs feed_capacity no_cache cache_bytes device_domains =
-  check_positive "--device-domains" device_domains;
-  Gpu.Device.set_default_domains device_domains;
+let serve port host jobs feed_capacity no_cache cache_bytes =
   check_jobs jobs;
   check_positive "--feed-capacity" feed_capacity;
   check_positive "--cache-bytes" cache_bytes;
@@ -1285,16 +1277,6 @@ let l1_bytes_arg =
                  $(b,Gpu.Config.default)); used by CI to seed a known \
                  perf regression.")
 
-let device_domains_arg =
-  Arg.(value & opt int 1
-       & info [ "device-domains" ] ~docv:"N"
-           ~doc:"Shard each kernel launch's SMs across $(docv) OCaml \
-                 domains (1 = sequential, today's behavior). Statistics, \
-                 manifests, and telemetry exports are bit-identical for \
-                 every $(docv); kernels with cross-block atomics or SASSI \
-                 handlers deterministically fall back to the sequential \
-                 path, counted by $(b,sassi_device_fallback_total).")
-
 let host_trace_arg =
   Arg.(value & opt (some string) None
        & info [ "host-trace" ] ~docv:"FILE"
@@ -1312,8 +1294,7 @@ let run_cmd =
           $ profile_arg $ pc_sampling_period_arg $ metrics_arg
           $ profile_out_arg $ stats_json_arg $ telemetry_arg
           $ telemetry_interval_arg $ telemetry_out_arg $ manifest_arg
-          $ run_seed_arg $ l1_bytes_arg $ host_trace_arg
-          $ device_domains_arg)
+          $ run_seed_arg $ l1_bytes_arg $ host_trace_arg)
 
 let manifest_a_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE.json")
@@ -1406,7 +1387,7 @@ let campaign_cmd =
                $(b,--jobs) setting replays the same results." ])
     Term.(const campaign $ campaign_target_arg $ variant_arg $ injections_arg
           $ seed_arg $ jobs_arg $ campaign_manifest_arg $ host_trace_arg
-          $ host_metrics_arg $ progress_arg $ device_domains_arg)
+          $ host_metrics_arg $ progress_arg)
 
 let trace_file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.json")
@@ -1471,7 +1452,7 @@ let serve_cmd =
                --manifest) writes for the same campaign. POST \
                /shutdown stops the daemon cleanly." ])
     Term.(const serve $ port_arg $ host_arg $ jobs_arg $ feed_capacity_arg
-          $ no_cache_arg $ cache_bytes_arg $ device_domains_arg)
+          $ no_cache_arg $ cache_bytes_arg)
 
 let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a workload's kernels")

@@ -20,10 +20,7 @@ let lane_tid t ~lane = Gpu.State.lane_linear_tid t.warp lane
 let lane_global_tid t ~lane = Gpu.State.global_tid t.warp ~lane
 
 let charge t ~ops ~cycles =
-  (* Route through the SM's accumulator (handlers only run on the
-     sequential path, where it aliases [l_stats], but going through
-     the SM keeps the "interpreter writes only sm_stats" invariant). *)
-  let stats = t.sm.Gpu.State.sm_stats in
+  let stats = t.sm.Gpu.State.sm_launch.Gpu.State.l_stats in
   stats.Gpu.Stats.handler_ops <- stats.Gpu.Stats.handler_ops + ops;
   stats.Gpu.Stats.handler_cycles <- stats.Gpu.Stats.handler_cycles + cycles;
   t.warp.Gpu.State.w_sassi_scratch <- t.warp.Gpu.State.w_sassi_scratch + cycles

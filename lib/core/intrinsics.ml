@@ -30,7 +30,7 @@ let shfl ctx f ~src_lane =
 
 let global ctx = ctx.Hctx.device.Gpu.State.d_global
 
-let stats ctx = ctx.Hctx.sm.Gpu.State.sm_stats
+let stats ctx = ctx.Hctx.sm.Gpu.State.sm_launch.Gpu.State.l_stats
 
 let lane_addrs ctx =
   Gpu.Memsys.lanes ctx.Hctx.device.Gpu.State.d_mem

@@ -77,6 +77,9 @@ let enable ?(interval = default_interval) device =
     "sassi_series_dropped_rows_total"
     (Telemetry.Registry.Counter
        (fun () -> Telemetry.Series.dropped sink.Gpu.State.tm_series));
+  (* Name and help text are kept byte for byte: telemetry exports carry
+     them and benchmark references pin those exports (DESIGN decision
+     7). *)
   Telemetry.Registry.register reg
     ~help:
       "Launches the device-sharding eligibility scan forced sequential \

@@ -32,7 +32,9 @@ type kernel = {
       (** register-file size per lane: highest GPR index named by any
           instruction + 1, at least 2 (R1 is the stack pointer) *)
   operands : int;  (** most source operands of any instruction *)
-  shardable : bool;  (** the launch-independent sharding verdict *)
+  shardable : bool;
+      (** {!Scheduler.shardable_kernel}'s verdict; a launch of a kernel
+          that fails it counts in [d_sharding_fallbacks] *)
 }
 
 val k_reg : int

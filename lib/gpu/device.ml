@@ -7,24 +7,7 @@ type arg =
   | F32 of float
   | Ptr of int
 
-(* Process-wide default for [d_domains], consulted by [create]. Set
-   once by the CLI before any work runs: devices are created deep
-   inside campaign/serve tasks (possibly on worker domains), so a
-   global default is the only practical way to reach them all. *)
-let default_domains = Atomic.make 1
-
-let set_default_domains n =
-  if n < 1 then invalid_arg "Device.set_default_domains: must be >= 1";
-  Atomic.set default_domains n
-
-let create ?(cfg = Config.default) ?domains () =
-  let domains =
-    match domains with
-    | Some n ->
-      if n < 1 then invalid_arg "Device.create: domains must be >= 1";
-      n
-    | None -> Atomic.get default_domains
-  in
+let create ?(cfg = Config.default) () =
   { d_cfg = cfg;
     d_global = Memory.create ~space:Sass.Opcode.Global cfg.Config.global_mem_bytes;
     d_mem = Memsys.create cfg;
@@ -45,14 +28,7 @@ let create ?(cfg = Config.default) ?domains () =
     d_trace_base = 0;
     d_sampler = None;
     d_telemetry = None;
-    d_domains = domains;
     d_sharding_fallbacks = 0 }
-
-let set_domains t n =
-  if n < 1 then invalid_arg "Device.set_domains: must be >= 1";
-  t.d_domains <- n
-
-let domains t = t.d_domains
 
 let sharding_fallbacks t = t.d_sharding_fallbacks
 
@@ -205,7 +181,6 @@ let transformed_kernel t kernel =
        Hashtbl.replace t.d_kernel_cache key k;
        k)
 
-(* Decode on the launching domain, before any shard spawns. *)
 let decoded t (kernel : Sass.Program.kernel) =
   let instrs = kernel.Sass.Program.instrs in
   match Code_table.find_opt t.d_decoded instrs with

@@ -14,33 +14,15 @@ type arg =
   | F32 of float
   | Ptr of int
 
-val create : ?cfg:Config.t -> ?domains:int -> unit -> t
-(** [domains] is the intra-device parallelism width (how many OCaml
-    domains SM simulation may spread over); defaults to the
-    process-wide value installed by {!set_default_domains} (initially
-    1, i.e. today's sequential behavior). *)
+val create : ?cfg:Config.t -> unit -> t
 
 val config : t -> Config.t
 
-(** {1 Intra-device parallelism} *)
-
-val set_default_domains : int -> unit
-(** Process-wide default for the [domains] of every subsequently
-    created device. Devices are created deep inside campaign and
-    serve tasks, so the CLI sets this once before any work runs.
-    @raise Invalid_argument when < 1. *)
-
-val set_domains : t -> int -> unit
-(** Change one device's sharding width (1 = sequential). Statistics,
-    manifests, and telemetry exports are bit-identical across values.
-    @raise Invalid_argument when < 1. *)
-
-val domains : t -> int
-
 val sharding_fallbacks : t -> int
-(** Launches forced down the sequential path by the eligibility scan
-    (cross-block atomics or SASSI handlers). Moves on every launch
-    regardless of the domain setting, so exports stay comparable. *)
+(** Launches whose kernel the cross-block hazard scan flags
+    ({!Scheduler.shardable_kernel}: cross-block atomics, SASSI
+    handlers, or a global load that may alias another block's store);
+    exported as [sassi_device_fallback_total]. *)
 
 (** {1 Memory management} *)
 

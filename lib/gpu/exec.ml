@@ -166,7 +166,7 @@ let texel_addrs w ops d m la ~width =
 (* One warp-level memory transaction record; the [None] branch is the
    whole cost when tracing is off. *)
 let trace_mem dev sm w ~space ~write ~width ~lanes (r : Memsys.result) =
-  match sm.sm_tracer with
+  match dev.d_tracer with
   | None -> ()
   | Some c ->
     if Trace.Collector.wants c Trace.Record.Mem then
@@ -184,7 +184,7 @@ let trace_mem dev sm w ~space ~write ~width ~lanes (r : Memsys.result) =
 (* Time a warp's global access over the first [n] lane addresses and
    count its requested bytes and transactions; returns the latency. *)
 let global_timing dev sm w ~n ~width ~write =
-  let stats = sm.sm_stats in
+  let stats = sm.sm_launch.l_stats in
   let bytes = Opcode.bytes_of_width width in
   let r =
     Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n ~width:bytes
@@ -204,7 +204,9 @@ let global_timing dev sm w ~n ~width ~write =
   r.Memsys.latency
 
 let shared_timing dev sm w ~n ~width ~write =
-  let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats:sm.sm_stats ~n in
+  let r =
+    Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats:sm.sm_launch.l_stats ~n
+  in
   trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write ~width ~lanes:n r;
   r.Memsys.latency
 
@@ -234,7 +236,7 @@ let local_access dev sm w ops (d : Decode.instr) m la ~width ~store =
   done;
   if n = 0 then -1
   else begin
-    let stats = sm.sm_stats in
+    let stats = sm.sm_launch.l_stats in
     let r =
       if !uniform then
         Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
@@ -277,7 +279,7 @@ let step sm w =
   let launch = w.w_block.b_launch in
   let dev = launch.l_device in
   let cfg = dev.d_cfg in
-  let stats = sm.sm_stats in
+  let stats = launch.l_stats in
   let pc = e.e_pc in
   let code = launch.l_code.Decode.code in
   if pc < 0 || pc >= Array.length code then
@@ -300,7 +302,7 @@ let step sm w =
   in
   let nactive = Value.popc m in
   Stats.count_instr stats ~classes:d.Decode.classes ~active_lanes:nactive;
-  (match sm.sm_tracer with
+  (match dev.d_tracer with
    | Some _ ->
      (* Stamp this SM's context attached to L1/L2 probe records
         emitted from inside the memory system. *)
@@ -577,7 +579,7 @@ let step sm w =
      let target = d.Decode.target in
      if d.Decode.cond_branch then begin
        stats.Stats.branches <- stats.Stats.branches + 1;
-       (match sm.sm_telemetry with
+       (match dev.d_telemetry with
         | None -> ()
         | Some tm -> Telemetry.Hist.observe tm.tm_branch_lanes (popc_mask m));
        let taken = m in
@@ -587,7 +589,7 @@ let step sm w =
        else begin
          (* Divergence: split the warp. *)
          stats.Stats.divergent_branches <- stats.Stats.divergent_branches + 1;
-         (match sm.sm_telemetry with
+         (match dev.d_telemetry with
           | None -> ()
           | Some tm ->
             Telemetry.Hist.observe tm.tm_divergent_taken_lanes
@@ -636,7 +638,7 @@ let step sm w =
         scheduling is unchanged whether or not tracing is on. *)
      w.w_ready_at <- sm.sm_cycle;
      w.w_block.b_arrived <- w.w_block.b_arrived + 1;
-     (match sm.sm_tracer with
+     (match dev.d_tracer with
       | Some c when Trace.Collector.wants c Trace.Record.Warp ->
         Trace.Collector.emit c
           (Trace.Record.make
@@ -646,7 +648,7 @@ let step sm w =
                 { pc; arrived = w.w_block.b_arrived }))
       | _ -> ());
      release_barrier_if_ready w.w_block;
-     (match sm.sm_telemetry with
+     (match dev.d_telemetry with
       | Some tm when w.w_status = W_ready ->
         (* The barrier released: every warp of the block now ready was
            waiting since its own arrival stamp (0 for the releaser). *)
@@ -657,7 +659,7 @@ let step sm w =
                  (sm.sm_cycle - w'.w_ready_at))
           w.w_block.b_warps
       | _ -> ());
-     (match sm.sm_tracer with
+     (match dev.d_tracer with
       | Some c
         when w.w_status = W_ready
              && Trace.Collector.wants c Trace.Record.Warp ->
@@ -703,7 +705,7 @@ let step sm w =
      (match w.w_stack with
       | entry :: _ when entry == e -> e.e_pc <- np
       | _ -> ()));
-  (match sm.sm_tracer with
+  (match dev.d_tracer with
    | None -> ()
    | Some c ->
      if Trace.Collector.wants c Trace.Record.Warp then begin
@@ -728,7 +730,7 @@ let step sm w =
      a sample taken while the warp waits out [latency] can attribute
      the stall (memory vs. execution dependency). Single branch when
      no sampler is installed. *)
-  (match sm.sm_sampler with
+  (match dev.d_sampler with
    | None -> ()
    | Some _ -> w.w_stall_code <- (if d.Decode.mem then 1 else 0));
   if w.w_status = W_ready then

@@ -19,16 +19,12 @@ type t = {
   size : int;
   space : Opcode.space;
   pages : Bytes.t array;
-  (* Taken only on first touch: two domains materializing one page
-     must agree on a single copy, or one of their writes is lost. *)
-  lock : Mutex.t;
 }
 
 let create ~space n =
   { size = n;
     space;
-    pages = Array.make ((n + page_size - 1) lsr page_bits) zero_page;
-    lock = Mutex.create () }
+    pages = Array.make ((n + page_size - 1) lsr page_bits) zero_page }
 
 let size t = t.size
 
@@ -42,18 +38,9 @@ let check t addr bytes =
 let page_for_read t addr = Array.unsafe_get t.pages (addr lsr page_bits)
 
 let[@inline never] materialize t p =
-  Mutex.lock t.lock;
-  let pg = t.pages.(p) in
-  let pg =
-    if pg != zero_page then pg
-    else begin
-      let b = Bytes.make (min page_size (t.size - (p lsl page_bits))) '\000' in
-      t.pages.(p) <- b;
-      b
-    end
-  in
-  Mutex.unlock t.lock;
-  pg
+  let b = Bytes.make (min page_size (t.size - (p lsl page_bits))) '\000' in
+  t.pages.(p) <- b;
+  b
 
 let page_for_write t addr =
   let p = addr lsr page_bits in

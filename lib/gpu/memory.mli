@@ -4,9 +4,8 @@
 
     The bytes live in 4 KiB pages that materialize on first write;
     until then a page aliases one shared zero page, so creating a large
-    memory costs only its page table. First touch takes a lock, so
-    domains writing disjoint words of one untouched page never lose a
-    write; every other access is lock-free. *)
+    memory costs only its page table. A memory has no lock: it belongs
+    to one device, and a device runs on one domain at a time. *)
 
 type t
 

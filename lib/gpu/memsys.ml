@@ -3,15 +3,11 @@ type result = {
   mutable latency : int;
 }
 
-(* Per-SM slot: trace/telemetry context and sinks, plus the access
-   scratch. Keeping all of it per-SM (instead of ambient on [t]) is what
-   lets SMs run on separate domains without clobbering each other's
-   stamps, and what makes the access paths allocation-free. *)
+(* Per-SM slot: the trace context stamped on probe records, plus the
+   access scratch that keeps the access paths allocation-free. *)
 type slot = {
-  mutable sl_sink : Trace.Collector.t option;
   mutable sl_cycle : int;
   mutable sl_warp : int;
-  mutable sl_tm : tm_sink option;
   (* The caller's per-lane byte addresses for the next access. *)
   sl_lanes : int array;
   (* The access's unique lines, ascending. *)
@@ -35,16 +31,11 @@ type t = {
   cfg : Config.t;
   l1s : Cache.t array;
   (* Partitioned L2: the capacity is split into [num_sms] equal
-     slices and SM [i] only ever probes slice [i]. Applied in both
-     sequential and sharded modes so the two are bit-identical (see
-     DESIGN: the old shared-L2 sequential semantics, where SM0 fully
-     warms the cache before SM1 starts, was an artifact of the
-     sequential loop, not fidelity). *)
+     slices and SM [i] only ever probes slice [i] (DESIGN decision 9:
+     a shared L2 that SM 0 fully warms before SM 1 starts is an
+     artifact of running SMs in order, not fidelity). *)
   l2s : Cache.t array;
   slots : slot array;
-  (* Device-level default sinks, mirrored into every slot; the
-     scheduler overrides slots with per-SM sinks while sharding and
-     restores these afterwards. *)
   mutable tr_sink : Trace.Collector.t option;
   mutable tm_sink : tm_sink option;
 }
@@ -76,10 +67,8 @@ let create (cfg : Config.t) =
             ~assoc:cfg.Config.l2_assoc ~line_bytes);
     slots =
       Array.init num_sms (fun _ ->
-          { sl_sink = None;
-            sl_cycle = 0;
+          { sl_cycle = 0;
             sl_warp = -1;
-            sl_tm = None;
             sl_lanes = Array.make 32 0;
             sl_lines = Array.make (32 * max_lines ~line_bytes 8) 0;
             sl_buckets = Array.make (32 * 32) 0;
@@ -91,28 +80,12 @@ let create (cfg : Config.t) =
 
 let lanes t ~sm = t.slots.(sm).sl_lanes
 
-let set_trace_sink t sink =
-  t.tr_sink <- sink;
-  Array.iter (fun sl -> sl.sl_sink <- sink) t.slots
+let set_trace_sink t sink = t.tr_sink <- sink
 
-let set_telemetry_sink t sink =
-  t.tm_sink <- sink;
-  Array.iter (fun sl -> sl.sl_tm <- sink) t.slots
+let set_telemetry_sink t sink = t.tm_sink <- sink
 
-let override_slot_sinks t ~sm ~trace ~telemetry =
-  let sl = t.slots.(sm) in
-  sl.sl_sink <- trace;
-  sl.sl_tm <- telemetry
-
-let restore_slot_sinks t =
-  Array.iter
-    (fun sl ->
-      sl.sl_sink <- t.tr_sink;
-      sl.sl_tm <- t.tm_sink)
-    t.slots
-
-let observe_access t ~sm (r : result) =
-  match t.slots.(sm).sl_tm with
+let observe_access t (r : result) =
+  match t.tm_sink with
   | None -> ()
   | Some tm ->
     Telemetry.Hist.observe tm.tm_latency r.latency;
@@ -124,10 +97,10 @@ let set_trace_ctx t ~sm ~cycle ~warp =
   sl.sl_warp <- warp
 
 let trace_probe t ~sm ~level ~hit =
-  let sl = t.slots.(sm) in
-  match sl.sl_sink with
+  match t.tr_sink with
   | None -> ()
   | Some c ->
+    let sl = t.slots.(sm) in
     Trace.Collector.emit c
       (Trace.Record.make ~cycle:sl.sl_cycle ~sm ~warp:sl.sl_warp
          (Trace.Record.Cache_access { level; hit }))
@@ -196,7 +169,7 @@ let settle t ~sm ~stats ~n ~worst =
   let r = t.slots.(sm).sl_result in
   r.transactions <- n;
   r.latency <- worst + (if n > 1 then (n - 1) * 2 else 0);
-  observe_access t ~sm r;
+  observe_access t r;
   r
 
 (* The access paths index the lane scratch without bounds checks. *)

@@ -1,8 +1,8 @@
 (** The memory system timing model: a per-SM coalescer and L1, a
     partitioned L2 (one equal slice per SM, probed only by its owner),
-    and a DRAM latency term. The partitioning removes the only
-    cross-SM shared cache state, which is what lets the scheduler run
-    SMs on separate domains with bit-identical statistics.
+    and a DRAM latency term. With the L2 partitioned, no cache state
+    is shared between SMs, so an SM's hits and misses do not depend on
+    the SMs simulated before it.
 
     Addresses arriving here are physical: callers place each address
     space in a disjoint window ({!global_window}, {!local_window},
@@ -76,10 +76,9 @@ val invalidate : t -> unit
 (** {1 Activity tracing} *)
 
 val set_trace_sink : t -> Trace.Collector.t option -> unit
-(** Install (or remove) the device-default collector receiving L1/L2
-    probe records; mirrored into every per-SM slot. Pass [Some c] only
-    when [c] wants the [Cache] category; the sink emits
-    unconditionally. *)
+(** Install (or remove) the collector receiving L1/L2 probe records.
+    Pass [Some c] only when [c] wants the [Cache] category; the sink
+    emits unconditionally. *)
 
 val set_trace_ctx : t -> sm:int -> cycle:int -> warp:int -> unit
 (** Stamp the per-SM context attached to subsequent probe records from
@@ -96,20 +95,8 @@ type tm_sink = {
 }
 
 val set_telemetry_sink : t -> tm_sink option -> unit
-(** Install (or remove) the device-default histograms observing every
+(** Install (or remove) the histograms observing every
     global/local coalesced access ({!global_access} and
     {!contiguous_access}; atomics observe their underlying access
-    once); mirrored into every per-SM slot. [None] keeps the
-    observation sites on a single-branch fast path. *)
-
-(** {1 Per-SM sink overrides (device sharding)} *)
-
-val override_slot_sinks :
-  t -> sm:int -> trace:Trace.Collector.t option ->
-  telemetry:tm_sink option -> unit
-(** Point one SM's slot at private sinks for the duration of a sharded
-    launch; the scheduler merges the private buffers back in [sm_id]
-    order and then calls {!restore_slot_sinks}. *)
-
-val restore_slot_sinks : t -> unit
-(** Re-mirror the device-default sinks into every slot. *)
+    once). [None] keeps the observation sites on a single-branch fast
+    path. *)

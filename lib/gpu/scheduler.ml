@@ -54,7 +54,7 @@ let make_block launch flat =
    independent of how busy the SM is; the [None] branch is the whole
    cost when profiling is off. *)
 let spend_sample_credit sm slots =
-  match sm.sm_sampler with
+  match sm.sm_launch.l_device.d_sampler with
   | None -> ()
   | Some sp ->
     sp.sp_credit <- sp.sp_credit - slots;
@@ -63,14 +63,13 @@ let spend_sample_credit sm slots =
       sp.sp_hit sm
     end
 
-(* Take one telemetry series sample: gauges are deltas of the SM's
-   statistics since the previous sample. [sm_stats] and [tm_base] are
-   both per-SM (aliasing the launch-wide objects in sequential mode,
-   where [tm_base] is re-seeded at each SM start), so counter movement
-   between two samples is exactly this SM's. Column order must match
+(* Take one telemetry series sample: gauges are deltas of the launch
+   statistics since the previous sample. [tm_base] is re-seeded at each
+   SM start and SMs run one after another, so counter movement between
+   two samples is exactly this SM's. Column order must match
    [Cupti.Telemetry.series_columns]. *)
 let telemetry_sample dev sm tm =
-  let stats = sm.sm_stats in
+  let stats = sm.sm_launch.l_stats in
   let base = tm.tm_base in
   let cyc = sm.sm_cycle in
   let dcyc = float_of_int (max 1 (cyc - base.ts_cycle)) in
@@ -111,7 +110,7 @@ let telemetry_sample dev sm tm =
 (* Single-branch tick checked once per scheduling decision; an SM
    without telemetry pays only the [None] match. *)
 let telemetry_tick dev sm =
-  match sm.sm_telemetry with
+  match dev.d_telemetry with
   | None -> ()
   | Some tm -> if sm.sm_cycle >= tm.tm_next_sample then telemetry_sample dev sm tm
 
@@ -180,32 +179,25 @@ let run_sm_wave sm =
 
 (* Simulate one SM to completion: dispatch its round-robin share of
    the grid in waves of [blocks_at_once], accounting occupancy and
-   active cycles into the SM's own stats. The observation context
-   (stats/tracer/telemetry/sampler) is whatever the caller wired into
-   the [sm] record: the launch-wide objects sequentially, private
-   per-SM instances under sharding. *)
-let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
-    ~nblocks =
+   active cycles into the launch's stats. *)
+let run_one_sm launch ~sm_id ~blocks_at_once ~nblocks =
   let dev = launch.l_device in
   let cfg = dev.d_cfg in
+  let stats = launch.l_stats in
   let sm =
     { sm_id; sm_launch = launch; sm_cycle = 0; sm_issued = 0;
       sm_warps = [||]; sm_rr = 0;
-      sm_operands = Array.make launch.l_code.Decode.operands 0;
-      sm_stats = stats; sm_tracer = tracer;
-      sm_telemetry = telemetry; sm_sampler = sampler }
+      sm_operands = Array.make launch.l_code.Decode.operands 0 }
   in
-  (* Each SM starts with a full sampling period. (Also applied on the
-     sequential path: carrying leftover credit from the previous SM
-     would make the sample placement order-dependent, which sharding
-     cannot reproduce. See DESIGN.) *)
-  (match sampler with
+  (* Each SM starts with a full sampling period, so where an SM's
+     samples fall does not depend on the SMs before it (DESIGN
+     decision 9). *)
+  (match dev.d_sampler with
    | None -> ()
    | Some sp -> sp.sp_credit <- sp.sp_period);
-  (* Seed the series baseline: the SM's clock starts at 0, and its
-     stats accumulator may carry earlier work (sequential mode, where
-     it aliases the cumulative launch stats). *)
-  (match telemetry with
+  (* Seed the series baseline: the SM's clock starts at 0, while the
+     launch stats already hold the earlier SMs' work. *)
+  (match dev.d_telemetry with
    | None -> ()
    | Some tm ->
      let b = tm.tm_base in
@@ -236,7 +228,7 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
       in
       let now, later = take blocks_at_once blocks in
       let made = List.map (make_block launch) now in
-      (match sm.sm_tracer with
+      (match dev.d_tracer with
        | Some c when Trace.Collector.wants c Trace.Record.Block ->
          List.iter
            (fun blk ->
@@ -265,15 +257,16 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
   stats.Stats.sm_active_cycles <- stats.Stats.sm_active_cycles + sm.sm_cycle;
   sm
 
-(* --- Sharding eligibility ------------------------------------------------ *)
+(* --- Cross-block hazard scan ------------------------------------------- *)
 
-(* A launch may shard only when no instruction can observe another
-   SM's work mid-flight: cross-block atomics (ATOM/RED on the global
-   space) read-modify-write shared lines, and SASSI handlers (HCALL)
-   run host code with launch-wide state. Both force the sequential
-   path. The scan sees the post-transform kernel, so injected
-   instrumentation is caught too. *)
-(* Pointer-parameter origin analysis backing the eligibility scan: a
+(* The scan's verdict feeds only [d_sharding_fallbacks], exported as
+   [sassi_device_fallback_total] (DESIGN decision 7 says why it stays).
+   A kernel is flagged when an instruction can observe another block's
+   work mid-flight: cross-block atomics (ATOM/RED on the global space)
+   read-modify-write shared lines, and SASSI handlers (HCALL) run host
+   code with launch-wide state. The scan sees the post-transform
+   kernel, so injected instrumentation is caught too. *)
+(* Pointer-parameter origin analysis backing the hazard scan: a
    flow-sensitive forward {!Sass.Dataflow} domain mapping each GPR, at
    each program point, to the bitset of kernel parameter slots its
    value may derive from (bit [i] = 4-byte slot [i]; the top bit is an
@@ -362,21 +355,18 @@ end
 
 module Origin_solver = Sass.Dataflow.Make (Origins)
 
-(* A kernel can shard only when no global load can alias a global
-   store from another block. We approximate alias-freedom at the
-   parameter level: collect the origin sets of every global load and
-   store address and require them to be disjoint. This catches
-   plain-store cross-block read-after-write hazards (e.g. an in-place
-   update where one block reads a cell another block wrote) that the
-   ATOM/RED scan cannot see. Write-write overlap through one
-   parameter is not flagged — every kernel stores its outputs through
-   some pointer — so kernels where two *blocks* store different
-   values to the *same* address remain out of model, as they are for
-   real hardware. [CAL] forces a fallback because the CFG treats it
-   as straight-line, which would hide callee effects (the DSL never
-   emits it; only hand-built programs could). A kernel the CFG cannot
-   represent (empty, or branching out of range) also runs
-   sequentially, where it traps. *)
+(* A kernel is also flagged when a global load can alias a global
+   store from another block. Alias-freedom is approximated at the
+   parameter level: the origin sets of every global load and store
+   address must be disjoint. This catches plain-store cross-block
+   read-after-write hazards (e.g. an in-place update where one block
+   reads a cell another block wrote) that the ATOM/RED scan cannot
+   see. Write-write overlap through one parameter is not flagged —
+   every kernel stores its outputs through some pointer. [CAL] is
+   flagged because the CFG treats it as straight-line, which would
+   hide callee effects (the DSL never emits it; only hand-built
+   programs could), and so is a kernel the CFG cannot represent
+   (empty, or branching out of range). *)
 let shardable_kernel (k : Sass.Program.kernel) =
   let instrs = k.Sass.Program.instrs in
   let no_traps =
@@ -412,171 +402,7 @@ let shardable_kernel (k : Sass.Program.kernel) =
       instrs;
     !load_set land !store_set = 0
 
-(* --- Per-SM observation contexts (sharded mode) -------------------------- *)
-
-(* Private, lossless per-SM trace buffer: a collector with the shared
-   collector's category mask whose ring spills full batches to a list
-   instead of dropping. Replaying batches + residue in [sm_id] order
-   reproduces the shared ring's sequential content bit-for-bit for
-   every overflow policy, because sequential emission is SM-major. *)
-type sm_trace_buffer = {
-  tb_collector : Trace.Collector.t;
-  tb_batches : Trace.Record.t array list ref;  (* newest batch first *)
-}
-
-let make_trace_buffer shared =
-  let cats =
-    List.filter (Trace.Collector.wants shared) Trace.Record.all_categories
-  in
-  let batches = ref [] in
-  let c =
-    Trace.Collector.create ~capacity:8192
-      ~policy:(Trace.Ring.Flush_callback (fun arr -> batches := arr :: !batches))
-      ~categories:cats ()
-  in
-  { tb_collector = c; tb_batches = batches }
-
-let replay_trace_buffer ~into tb =
-  List.iter
-    (fun arr -> Array.iter (fun r -> Trace.Collector.emit into r) arr)
-    (List.rev !(tb.tb_batches));
-  List.iter
-    (fun r -> Trace.Collector.emit into r)
-    (Trace.Collector.records tb.tb_collector)
-
-let clone_telemetry (tm : telemetry) =
-  { tm_interval = tm.tm_interval;
-    tm_mem_latency = Telemetry.Hist.create ();
-    tm_mem_transactions = Telemetry.Hist.create ();
-    tm_branch_lanes = Telemetry.Hist.create ();
-    tm_divergent_taken_lanes = Telemetry.Hist.create ();
-    tm_barrier_wait = Telemetry.Hist.create ();
-    tm_handler_cycles = Telemetry.Hist.create ();
-    tm_handler_sites = Hashtbl.create 8;
-    tm_series =
-      Telemetry.Series.create
-        ~capacity:(Telemetry.Series.capacity tm.tm_series)
-        ~interval:(Telemetry.Series.interval tm.tm_series)
-        (Telemetry.Series.columns tm.tm_series);
-    tm_next_sample = tm.tm_interval;
-    tm_base =
-      { ts_cycle = 0; ts_issued = 0; ts_l1_hits = 0; ts_l1_misses = 0;
-        ts_l2_hits = 0; ts_l2_misses = 0 } }
-
-let merge_telemetry ~into p =
-  Telemetry.Hist.merge ~into:into.tm_mem_latency p.tm_mem_latency;
-  Telemetry.Hist.merge ~into:into.tm_mem_transactions p.tm_mem_transactions;
-  Telemetry.Hist.merge ~into:into.tm_branch_lanes p.tm_branch_lanes;
-  Telemetry.Hist.merge ~into:into.tm_divergent_taken_lanes
-    p.tm_divergent_taken_lanes;
-  Telemetry.Hist.merge ~into:into.tm_barrier_wait p.tm_barrier_wait;
-  Telemetry.Hist.merge ~into:into.tm_handler_cycles p.tm_handler_cycles;
-  Hashtbl.iter
-    (fun site n ->
-      match Hashtbl.find_opt into.tm_handler_sites site with
-      | Some r -> r := !r + !n
-      | None -> Hashtbl.add into.tm_handler_sites site (ref !n))
-    p.tm_handler_sites;
-  Telemetry.Series.absorb ~into:into.tm_series p.tm_series
-
 (* --- Launch-level driver ------------------------------------------------- *)
-
-let run_sequential launch ~blocks_at_once ~nblocks =
-  let dev = launch.l_device in
-  let cfg = dev.d_cfg in
-  let max_cycle = ref 0 in
-  for sm_id = 0 to cfg.Config.num_sms - 1 do
-    let sm =
-      run_one_sm launch ~sm_id ~stats:launch.l_stats ~tracer:dev.d_tracer
-        ~telemetry:dev.d_telemetry ~sampler:dev.d_sampler ~blocks_at_once
-        ~nblocks
-    in
-    if sm.sm_cycle > !max_cycle then max_cycle := sm.sm_cycle
-  done;
-  launch.l_stats.Stats.cycles <- !max_cycle
-
-let run_sharded launch ~blocks_at_once ~nblocks ~domains =
-  let dev = launch.l_device in
-  let cfg = dev.d_cfg in
-  let num_sms = cfg.Config.num_sms in
-  let workers = min domains num_sms in
-  (* Private per-SM contexts, allocated up front on the host domain. *)
-  let stats = Array.init num_sms (fun _ -> Stats.create ()) in
-  let tracers =
-    Array.init num_sms (fun _ ->
-        Option.map (fun c -> make_trace_buffer c) dev.d_tracer)
-  in
-  let telemetries =
-    Array.init num_sms (fun _ -> Option.map clone_telemetry dev.d_telemetry)
-  in
-  let samplers =
-    Array.init num_sms (fun _ ->
-        Option.map
-          (fun sp ->
-            { sp_period = sp.sp_period; sp_credit = sp.sp_period;
-              sp_hit = sp.sp_hit })
-          dev.d_sampler)
-  in
-  (* Point the memory system's per-SM slots at the private sinks for
-     the duration of the launch. *)
-  Array.iteri
-    (fun sm_id tb ->
-      let trace =
-        match (dev.d_tracer, tb) with
-        | Some c, Some tb when Trace.Collector.wants c Trace.Record.Cache ->
-          Some tb.tb_collector
-        | _ -> None
-      in
-      let telemetry =
-        Option.map
-          (fun tm ->
-            { Memsys.tm_latency = tm.tm_mem_latency;
-              Memsys.tm_transactions = tm.tm_mem_transactions })
-          telemetries.(sm_id)
-      in
-      Memsys.override_slot_sinks dev.d_mem ~sm:sm_id ~trace ~telemetry)
-    tracers;
-  let failures = Array.make num_sms None in
-  let run_chunk first =
-    let sm_id = ref first in
-    while !sm_id < num_sms do
-      let i = !sm_id in
-      (try
-         let sm =
-           run_one_sm launch ~sm_id:i ~stats:stats.(i)
-             ~tracer:(Option.map (fun tb -> tb.tb_collector) tracers.(i))
-             ~telemetry:telemetries.(i) ~sampler:samplers.(i) ~blocks_at_once
-             ~nblocks
-         in
-         (* Stage the SM's cycle count so the merge's max over private
-            accumulators reconstructs the kernel time. *)
-         stats.(i).Stats.cycles <- sm.sm_cycle
-       with e -> failures.(i) <- Some e);
-      sm_id := !sm_id + workers
-    done
-  in
-  let spawned =
-    Array.init (workers - 1) (fun j ->
-        Domain.spawn (fun () -> run_chunk (j + 1)))
-  in
-  run_chunk 0;
-  Array.iter Domain.join spawned;
-  Memsys.restore_slot_sinks dev.d_mem;
-  (* Deterministic failure propagation: the lowest-id failing SM wins,
-     matching which trap the sequential loop would have hit first. *)
-  Array.iter (function Some e -> raise e | None -> ()) failures;
-  (* Reduce everything in sm_id order. Per-SM cycle counts are staged
-     in each private accumulator's [cycles] field so that the merge's
-     max reconstructs the kernel time. *)
-  for sm_id = 0 to num_sms - 1 do
-    Stats.merge ~into:launch.l_stats stats.(sm_id);
-    (match (dev.d_tracer, tracers.(sm_id)) with
-     | Some shared, Some tb -> replay_trace_buffer ~into:shared tb
-     | _ -> ());
-    match (dev.d_telemetry, telemetries.(sm_id)) with
-    | Some shared, Some p -> merge_telemetry ~into:shared p
-    | _ -> ()
-  done
 
 let run launch =
   let dev = launch.l_device in
@@ -587,13 +413,11 @@ let run launch =
   let blocks_at_once =
     max 1 (cfg.Config.max_warps_per_sm / max 1 warps_per_block)
   in
-  (* Eligibility is a property of the (post-transform) kernel, decided
-     once when the device decodes it, not of the domain setting: count
-     fallbacks on every launch so the counter — exported through
-     telemetry — is byte-identical across [--device-domains] values. *)
-  let eligible = launch.l_code.Decode.shardable in
-  if not eligible then
+  if not launch.l_code.Decode.shardable then
     dev.d_sharding_fallbacks <- dev.d_sharding_fallbacks + 1;
-  if dev.d_domains > 1 && eligible && cfg.Config.num_sms > 1 then
-    run_sharded launch ~blocks_at_once ~nblocks ~domains:dev.d_domains
-  else run_sequential launch ~blocks_at_once ~nblocks
+  let max_cycle = ref 0 in
+  for sm_id = 0 to cfg.Config.num_sms - 1 do
+    let sm = run_one_sm launch ~sm_id ~blocks_at_once ~nblocks in
+    if sm.sm_cycle > !max_cycle then max_cycle := sm.sm_cycle
+  done;
+  launch.l_stats.Stats.cycles <- !max_cycle

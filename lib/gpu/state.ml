@@ -52,17 +52,6 @@ and sm = {
   mutable sm_warps : warp array;
   mutable sm_rr : int;
   sm_operands : int array;
-  (* Per-SM observation context. In sequential mode these alias the
-     launch/device-level objects; under device sharding each SM gets
-     private instances, merged back in [sm_id] order at launch end so
-     stats and sink contents are bit-identical to the sequential
-     path. The interpreter and scheduler only ever go through these,
-     never through [l_stats]/[d_tracer]/[d_telemetry]/[d_sampler]
-     directly. *)
-  sm_stats : Stats.t;
-  sm_tracer : Trace.Collector.t option;
-  sm_telemetry : telemetry option;
-  sm_sampler : sampler option;
 }
 
 and launch = {
@@ -100,13 +89,8 @@ and device = {
   mutable d_trace_base : int;
   mutable d_sampler : sampler option;
   mutable d_telemetry : telemetry option;
-  (* Device sharding: number of domains SM simulation may spread
-     over (1 = sequential), and how many launches were forced down
-     the sequential path by the eligibility scan (cross-block atomics
-     or SASSI handlers). The fallback counter moves on every launch
-     regardless of [d_domains], so telemetry exports stay
-     byte-identical across domain counts. *)
-  mutable d_domains : int;
+  (* Launches whose kernel the cross-block hazard scan flags; feeds
+     [sassi_device_fallback_total]. *)
   mutable d_sharding_fallbacks : int;
 }
 

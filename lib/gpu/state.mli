@@ -63,21 +63,6 @@ and sm = {
   sm_operands : int array;
       (** the interpreter's per-step scratch: parameter operands, read
           once per step, by source position *)
-  sm_stats : Stats.t;
-      (** the SM's statistics accumulator. Sequential mode: aliases
-          [l_stats]. Sharded mode: private, reduced into [l_stats]
-          via {!Stats.merge} in [sm_id] order at launch end. The
-          interpreter writes counters only through this field. *)
-  sm_tracer : Trace.Collector.t option;
-      (** activity-record sink for this SM (aliases [d_tracer]
-          sequentially; private lossless buffer under sharding) *)
-  sm_telemetry : telemetry option;
-      (** telemetry sink for this SM (aliases [d_telemetry]
-          sequentially; private clone under sharding) *)
-  sm_sampler : sampler option;
-      (** PC-sampling credit for this SM (aliases [d_sampler]
-          sequentially; private credit, shared hit hook under
-          sharding) *)
 }
 
 and launch = {
@@ -126,13 +111,11 @@ and device = {
   mutable d_telemetry : telemetry option;
       (** metrics sink; [None] keeps every histogram and series
           sampling site on its single-branch fast path *)
-  mutable d_domains : int;
-      (** domains SM simulation may spread over; 1 = sequential *)
   mutable d_sharding_fallbacks : int;
-      (** launches the eligibility scan forced down the sequential
-          path (cross-block atomics or SASSI handlers). Counted on
-          every launch regardless of [d_domains], so telemetry
-          exports stay byte-identical across domain counts. *)
+      (** launches whose kernel the cross-block hazard scan flags
+          (cross-block atomics, SASSI handlers, or a global load that
+          may alias another block's store); feeds
+          [sassi_device_fallback_total] *)
 }
 
 and transform = Sass.Program.kernel -> Sass.Program.kernel

@@ -147,60 +147,6 @@ let accumulate ~into t =
   into.handler_cycles <- into.handler_cycles + t.handler_cycles;
   into.hcalls <- into.hcalls + t.hcalls
 
-(* Name-indexed setters, used by [merge] so that the reduction is
-   driven by [to_assoc]: a counter present in the record but missing
-   from either list makes [merge] raise instead of silently dropping
-   the value. *)
-let setters : (string * (t -> int -> unit)) list =
-  [ ("cycles", fun t v -> t.cycles <- v);
-    ("warp_instrs", fun t v -> t.warp_instrs <- v);
-    ("thread_instrs", fun t v -> t.thread_instrs <- v);
-    ("mem_instrs", fun t v -> t.mem_instrs <- v);
-    ("ctrl_instrs", fun t v -> t.ctrl_instrs <- v);
-    ("sync_instrs", fun t v -> t.sync_instrs <- v);
-    ("numeric_instrs", fun t v -> t.numeric_instrs <- v);
-    ("texture_instrs", fun t v -> t.texture_instrs <- v);
-    ("spill_instrs", fun t v -> t.spill_instrs <- v);
-    ("branches", fun t v -> t.branches <- v);
-    ("divergent_branches", fun t v -> t.divergent_branches <- v);
-    ("global_transactions", fun t v -> t.global_transactions <- v);
-    ("gld_requested_bytes", fun t v -> t.gld_requested_bytes <- v);
-    ("gld_transactions", fun t v -> t.gld_transactions <- v);
-    ("gst_requested_bytes", fun t v -> t.gst_requested_bytes <- v);
-    ("gst_transactions", fun t v -> t.gst_transactions <- v);
-    ("shared_conflicts", fun t v -> t.shared_conflicts <- v);
-    ("shared_accesses", fun t v -> t.shared_accesses <- v);
-    ("l1_hits", fun t v -> t.l1_hits <- v);
-    ("l1_misses", fun t v -> t.l1_misses <- v);
-    ("l2_hits", fun t v -> t.l2_hits <- v);
-    ("l2_misses", fun t v -> t.l2_misses <- v);
-    ("resident_warp_cycles", fun t v -> t.resident_warp_cycles <- v);
-    ("sm_active_cycles", fun t v -> t.sm_active_cycles <- v);
-    ("handler_ops", fun t v -> t.handler_ops <- v);
-    ("handler_cycles", fun t v -> t.handler_cycles <- v);
-    ("hcalls", fun t v -> t.hcalls <- v) ]
-
-let merge ~into t =
-  let pairs = to_assoc t in
-  let into_pairs = to_assoc into in
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name pairs) then
-        invalid_arg
-          (Printf.sprintf "Stats.merge: counter %s missing from to_assoc" name))
-    setters;
-  List.iter
-    (fun (name, v) ->
-      let set =
-        try List.assoc name setters
-        with Not_found ->
-          invalid_arg
-            (Printf.sprintf "Stats.merge: no setter for counter %s" name)
-      in
-      let cur = List.assoc name into_pairs in
-      set into (if String.equal name "cycles" then max cur v else cur + v))
-    pairs
-
 let c_mem = 1
 let c_ctrl = 2
 let c_sync = 4

@@ -54,14 +54,6 @@ val accumulate : into:t -> t -> unit
 (** Adds all counters of the second argument into [into]; [cycles]
     also accumulates (total device time across launches). *)
 
-val merge : into:t -> t -> unit
-(** Reduce the second argument into [into] for an intra-launch
-    per-SM merge: [cycles] takes the max (SMs run concurrently; the
-    kernel time is the slowest SM), every other counter sums. Driven
-    by {!to_assoc} plus a name-indexed setter table, so a counter
-    present in the record but missing from either list raises
-    [Invalid_argument] instead of being silently dropped. *)
-
 val classes : Sass.Opcode.t -> int
 (** The counter classes of an opcode (memory, control, sync, numeric,
     texture, spill/fill) as bits, computed once per decoded

@@ -10,19 +10,12 @@ type t = {
   kernels : (string, entry) Hashtbl.t;
   mutable hits : int;
   mutable total_samples : int;
-  (* Serializes [hit] under device sharding: SMs sample concurrently
-     into the shared tables. Per-SM sample points are deterministic
-     (per-SM credit) and the increments commute, so totals are
-     bit-identical whatever the interleaving. Uncontended in
-     sequential mode. *)
-  lock : Mutex.t;
 }
 
 let create ?(period = default_period) () =
   if period <= 0 then
     invalid_arg "Pc_sampling.create: period must be positive";
-  { period; kernels = Hashtbl.create 8; hits = 0; total_samples = 0;
-    lock = Mutex.create () }
+  { period; kernels = Hashtbl.create 8; hits = 0; total_samples = 0 }
 
 let period t = t.period
 
@@ -57,8 +50,6 @@ let classify sm w =
    profiled run produces bit-identical [Gpu.Stats]. *)
 let hit t sm =
   let open Gpu.State in
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   t.hits <- t.hits + 1;
   let kernel = sm.sm_launch.l_kernel in
   let e = entry_for t kernel in

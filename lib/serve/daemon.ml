@@ -291,6 +291,14 @@ let handle_trace t req oc =
       Option.bind (Http.query req "timeout") float_of_string_opt
       |> Option.map (fun s -> Unix.gettimeofday () +. s)
     in
+    (* [max] caps only the backlog: the stream goes on after the
+       newest resident record, whether or not the backlog sent it.
+       The snapshot is taken before the head goes out, so a record
+       pushed once the client has the head is streamed. *)
+    let resident = Feed.snapshot t.feed in
+    let last =
+      ref (List.fold_left (fun acc (s, _) -> max acc s) 0 resident)
+    in
     Http.start_stream ~content_type:"application/x-ndjson" ~code:200 oc;
     let sent = ref 0 in
     let write records =
@@ -300,11 +308,7 @@ let handle_trace t req oc =
       sent := !sent + String.length s
     in
     (try
-       let initial = cap (Feed.snapshot t.feed) in
-       write initial;
-       let last =
-         ref (List.fold_left (fun acc (s, _) -> max acc s) 0 initial)
-       in
+       write (cap resident);
        let expired () =
          match deadline with
          | Some d -> Unix.gettimeofday () >= d

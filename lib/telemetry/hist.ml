@@ -86,15 +86,6 @@ let clear t =
   t.vmax <- 0;
   Array.fill t.buckets 0 num_buckets 0
 
-let merge ~into t =
-  into.count <- into.count + t.count;
-  into.sum <- into.sum + t.sum;
-  if t.count > 0 then begin
-    if t.vmin < into.vmin then into.vmin <- t.vmin;
-    if t.vmax > into.vmax then into.vmax <- t.vmax
-  end;
-  Array.iteri (fun i c -> into.buckets.(i) <- into.buckets.(i) + c) t.buckets
-
 let quantile t q =
   if t.count = 0 then 0.
   else begin

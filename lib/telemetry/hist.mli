@@ -53,8 +53,6 @@ val copy : t -> t
 
 val clear : t -> unit
 
-val merge : into:t -> t -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val render : t -> string

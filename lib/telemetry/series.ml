@@ -45,20 +45,6 @@ let sample t ~cycle ~sm values =
 
 let capacity t = t.capacity
 
-let absorb ~into t =
-  if into.columns <> t.columns then
-    invalid_arg "Telemetry.Series.absorb: column mismatch";
-  if into.interval <> t.interval then
-    invalid_arg "Telemetry.Series.absorb: interval mismatch";
-  (* Replaying through [sample] keeps the capacity/dropped accounting
-     of the destination exact: rows the source already dropped are
-     carried over as dropped, rows that overflow the destination are
-     dropped there. *)
-  into.dropped <- into.dropped + t.dropped;
-  List.iter
-    (fun r -> sample into ~cycle:r.r_cycle ~sm:r.r_sm r.r_values)
-    (List.rev t.rows)
-
 let length t = t.length
 
 let dropped t = t.dropped

@@ -24,13 +24,6 @@ val sample : t -> cycle:int -> sm:int -> float array -> unit
 
 val capacity : t -> int
 
-val absorb : into:t -> t -> unit
-(** Replay every row of the second series into [into] (oldest first,
-    through {!sample} so capacity/dropped accounting stays exact) and
-    add its dropped count. Used by the device sharder to merge per-SM
-    series back into the shared one in [sm_id] order.
-    @raise Invalid_argument when columns or interval differ. *)
-
 val length : t -> int
 
 val dropped : t -> int

@@ -13,7 +13,6 @@ type side_stats = {
 type t = {
   kernels : (string * int * int) list;
   sms : (int * side_stats) list;
-  warps : ((int * int) * side_stats) list;
   total : side_stats;
   cache_probes : (int * int) * (int * int);
   handler_invokes : int;
@@ -44,52 +43,36 @@ let touch s cycle =
   if cycle < s.first_cycle then s.first_cycle <- cycle;
   if cycle > s.last_cycle then s.last_cycle <- cycle
 
+(* One pass over the records, allocating only an entry per SM: each
+   record updates the total and, when it names an SM, that SM's
+   entry. *)
 let build records =
   let sms = Hashtbl.create 16 in
-  let warps = Hashtbl.create 256 in
   let total = fresh () in
   let kernels = ref [] in
   let l1h = ref 0 and l1m = ref 0 and l2h = ref 0 and l2m = ref 0 in
   let handlers = ref 0 and faults = ref 0 in
-  let get tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-      let s = fresh () in
-      Hashtbl.replace tbl key s;
-      s
-  in
-  let sides (r : Record.t) =
-    let ss =
-      if r.Record.sm >= 0 then [ get sms r.Record.sm ] else []
-    in
-    let ss =
-      if r.Record.sm >= 0 && r.Record.warp >= 0 then
-        get warps (r.Record.sm, r.Record.warp) :: ss
-      else ss
-    in
-    total :: ss
+  let count s (r : Record.t) =
+    (match r.Record.payload with
+     | Record.Block_dispatch _ -> s.blocks <- s.blocks + 1
+     | Record.Warp_issue _ -> s.issues <- s.issues + 1
+     | Record.Warp_stall { reason; cycles } ->
+       let i = reason_index reason in
+       s.stall_events.(i) <- s.stall_events.(i) + 1;
+       s.stall_cycles.(i) <- s.stall_cycles.(i) + cycles
+     | Record.Warp_barrier _ -> s.barriers <- s.barriers + 1
+     | Record.Mem_access { transactions; _ } ->
+       s.mem_accesses <- s.mem_accesses + 1;
+       s.mem_transactions <- s.mem_transactions + transactions
+     | Record.Kernel_launch _ | Record.Kernel_exit _ | Record.Cache_access _
+     | Record.Handler_invoke _ | Record.Fault_inject _ -> ());
+    touch s r.Record.cycle
   in
   List.iter
     (fun (r : Record.t) ->
-       let apply f = List.iter f (sides r) in
        (match r.Record.payload with
-        | Record.Kernel_launch _ -> ()
         | Record.Kernel_exit { name; launch_id; cycles } ->
           kernels := (name, launch_id, cycles) :: !kernels
-        | Record.Block_dispatch _ -> apply (fun s -> s.blocks <- s.blocks + 1)
-        | Record.Warp_issue _ -> apply (fun s -> s.issues <- s.issues + 1)
-        | Record.Warp_stall { reason; cycles } ->
-          let i = reason_index reason in
-          apply (fun s ->
-              s.stall_events.(i) <- s.stall_events.(i) + 1;
-              s.stall_cycles.(i) <- s.stall_cycles.(i) + cycles)
-        | Record.Warp_barrier _ ->
-          apply (fun s -> s.barriers <- s.barriers + 1)
-        | Record.Mem_access { transactions; _ } ->
-          apply (fun s ->
-              s.mem_accesses <- s.mem_accesses + 1;
-              s.mem_transactions <- s.mem_transactions + transactions)
         | Record.Cache_access { level; hit } ->
           (match (level, hit) with
            | Record.L1, true -> incr l1h
@@ -97,16 +80,25 @@ let build records =
            | Record.L2, true -> incr l2h
            | Record.L2, false -> incr l2m)
         | Record.Handler_invoke _ -> incr handlers
-        | Record.Fault_inject _ -> incr faults);
-       apply (fun s -> touch s r.Record.cycle))
+        | Record.Fault_inject _ -> incr faults
+        | Record.Kernel_launch _ | Record.Block_dispatch _
+        | Record.Warp_issue _ | Record.Warp_stall _ | Record.Warp_barrier _
+        | Record.Mem_access _ -> ());
+       count total r;
+       let sm = r.Record.sm in
+       if sm >= 0 then
+         count
+           (try Hashtbl.find sms sm
+            with Not_found ->
+              let s = fresh () in
+              Hashtbl.replace sms sm s;
+              s)
+           r)
     records;
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   { kernels = List.rev !kernels;
-    sms = sorted sms;
-    warps = sorted warps;
+    sms =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sms []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     total;
     cache_probes = ((!l1h, !l1m), (!l2h, !l2m));
     handler_invokes = !handlers;
@@ -155,89 +147,3 @@ let pp_summary ppf t =
          s.stall_cycles.(2))
     t.sms;
   Format.fprintf ppf "@]"
-
-let render_warps ?(width = 64) ?(sm = 0) ?(max_warps = 24) records =
-  let records =
-    List.filter (fun (r : Record.t) -> r.Record.sm = sm) records
-  in
-  let lo = ref max_int and hi = ref 0 in
-  List.iter
-    (fun (r : Record.t) ->
-       if r.Record.cycle < !lo then lo := r.Record.cycle;
-       let last =
-         match r.Record.payload with
-         | Record.Warp_stall { cycles; _ } -> r.Record.cycle + cycles
-         | _ -> r.Record.cycle
-       in
-       if last > !hi then hi := last)
-    records;
-  if !lo > !hi then Printf.sprintf "(no records for SM %d)\n" sm
-  else begin
-    let span = max 1 (!hi - !lo + 1) in
-    let bucket c = min (width - 1) ((c - !lo) * width / span) in
-    (* Per warp, per bucket: issue count and stall cycles by reason. *)
-    let rows = Hashtbl.create 64 in
-    let get w =
-      match Hashtbl.find_opt rows w with
-      | Some a -> a
-      | None ->
-        let a = Array.make_matrix width (1 + n_reasons) 0 in
-        Hashtbl.replace rows w a;
-        a
-    in
-    List.iter
-      (fun (r : Record.t) ->
-         if r.Record.warp >= 0 then
-           let a = get r.Record.warp in
-           match r.Record.payload with
-           | Record.Warp_issue _ ->
-             let b = bucket r.Record.cycle in
-             a.(b).(0) <- a.(b).(0) + 1
-           | Record.Warp_stall { reason; cycles } ->
-             let i = 1 + reason_index reason in
-             let b0 = bucket r.Record.cycle in
-             let b1 = bucket (r.Record.cycle + cycles) in
-             for b = b0 to b1 do
-               a.(b).(i) <- a.(b).(i) + max 1 (cycles / max 1 (b1 - b0 + 1))
-             done
-           | _ -> ())
-      records;
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "SM %d, cycles %d..%d (%d cycles per column); # issue, M mem \
-          stall, B barrier, E exec stall\n"
-         sm !lo !hi (span / width));
-    let warps =
-      Hashtbl.fold (fun w _ acc -> w :: acc) rows [] |> List.sort Int.compare
-    in
-    List.iteri
-      (fun i w ->
-         if i < max_warps then begin
-           let a = Hashtbl.find rows w in
-           Buffer.add_string buf (Printf.sprintf "  warp %3d |" w);
-           Array.iter
-             (fun cell ->
-                let issue = cell.(0) in
-                let mstall = cell.(1) and bstall = cell.(2) in
-                let estall = cell.(3) in
-                let stall = mstall + bstall + estall in
-                let c =
-                  if issue = 0 && stall = 0 then '.'
-                  else if stall > issue * 4 then
-                    if mstall >= bstall && mstall >= estall then 'M'
-                    else if bstall >= estall then 'B'
-                    else 'E'
-                  else '#'
-                in
-                Buffer.add_char buf c)
-             a;
-           Buffer.add_string buf "|\n"
-         end)
-      warps;
-    if List.length warps > max_warps then
-      Buffer.add_string buf
-        (Printf.sprintf "  ... %d more warps not shown\n"
-           (List.length warps - max_warps));
-    Buffer.contents buf
-  end

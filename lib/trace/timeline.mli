@@ -1,7 +1,6 @@
 (** Trace-driven analysis: fold a stream of activity records into
-    per-SM and per-warp timelines, stall breakdowns, and an ASCII
-    rendering of warp activity — the in-memory counterpart of the
-    Chrome/Perfetto export. *)
+    per-SM totals and a stall breakdown — the summary [run --trace]
+    prints beside its Chrome/Perfetto export. *)
 
 type side_stats = {
   mutable issues : int;
@@ -19,7 +18,6 @@ type t = {
   kernels : (string * int * int) list;
       (** (name, launch id, cycles), in completion order *)
   sms : (int * side_stats) list;  (** sorted by SM id *)
-  warps : ((int * int) * side_stats) list;  (** keyed by (sm, warp) *)
   total : side_stats;
   cache_probes : (int * int) * (int * int);
       (** ((l1 hits, l1 misses), (l2 hits, l2 misses)) *)
@@ -39,11 +37,3 @@ val stall_breakdown : t -> (Record.stall_reason * int * int) list
     descending. *)
 
 val pp_summary : Format.formatter -> t -> unit
-
-val render_warps :
-  ?width:int -> ?sm:int -> ?max_warps:int -> Record.t list -> string
-(** ASCII timeline, one row per warp: ['#'] issuing, ['M'] memory
-    stall, ['B'] barrier stall, ['E'] execution-pipe stall, ['.']
-    idle. [width] buckets (default 64) span the traced cycle range;
-    [sm] restricts to one SM (default 0); at most [max_warps] rows
-    (default 24). *)

@@ -45,10 +45,10 @@ let pairs mode device =
   | "stub" -> List.map (fun (spec, _) -> (spec, Sassi.Handler.noop)) (value ())
   | m -> invalid_arg ("Golden.pairs: unknown mode " ^ m)
 
-(* The job's exact facts as ordered (name, value) fields. *)
-let run j =
+(* The job's exact facts as ordered (name, value) fields, run on
+   [device] (a fresh one by default). *)
+let run ?(device = Gpu.Device.create ()) j =
   let w = Workloads.Registry.find j.workload in
-  let device = Gpu.Device.create () in
   let go () = w.Workloads.Workload.run device ~variant:j.variant in
   let r =
     if j.mode = "plain" then go ()

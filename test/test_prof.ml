@@ -44,6 +44,37 @@ let test_stats_to_assoc () =
        check Alcotest.bool ("pp mentions " ^ n) true (contains pp (n ^ "=")))
     assoc
 
+(* Stats.accumulate is the reduction behind Par.Reduce.stats, campaign
+   manifests and multi-launch Workload stats: adding a stats object to
+   a copy of itself must double every counter, cycles included. The
+   record literal names every field, so a new counter does not compile
+   here until it is given a value; the values are distinct and
+   non-zero, so a counter that accumulate skips, or that to_assoc
+   drops, shows. *)
+let test_stats_accumulate_covers_every_counter () =
+  let s =
+    { Gpu.Stats.cycles = 1; warp_instrs = 2; thread_instrs = 3;
+      mem_instrs = 4; ctrl_instrs = 5; sync_instrs = 6; numeric_instrs = 7;
+      texture_instrs = 8; spill_instrs = 9; branches = 10;
+      divergent_branches = 11; global_transactions = 12;
+      gld_requested_bytes = 13; gld_transactions = 14;
+      gst_requested_bytes = 15; gst_transactions = 16; shared_conflicts = 17;
+      shared_accesses = 18; l1_hits = 19; l1_misses = 20; l2_hits = 21;
+      l2_misses = 22; resident_warp_cycles = 23; sm_active_cycles = 24;
+      handler_ops = 25; handler_cycles = 26; hcalls = 27 }
+  in
+  check Alcotest.(list int) "to_assoc reports every field"
+    (List.init 27 succ)
+    (List.sort compare (List.map snd (Gpu.Stats.to_assoc s)));
+  let d = Gpu.Stats.create () in
+  Gpu.Stats.accumulate ~into:d s;
+  Gpu.Stats.accumulate ~into:d s;
+  List.iter2
+    (fun (name, v) (name', v2) ->
+      check Alcotest.string "counter order stable" name name';
+      check Alcotest.int (name ^ " accumulates as a sum") (2 * v) v2)
+    (Gpu.Stats.to_assoc s) (Gpu.Stats.to_assoc d)
+
 (* --- Metric formulas -------------------------------------------------------- *)
 
 let env_of ?sampling stats =
@@ -469,6 +500,8 @@ let test_zero_on_launch () =
 let suite =
   [ ( "prof",
       [ Alcotest.test_case "stats to_assoc" `Quick test_stats_to_assoc;
+        Alcotest.test_case "Stats.accumulate: covers every counter" `Quick
+          test_stats_accumulate_covers_every_counter;
         Alcotest.test_case "metric formulas" `Quick test_metric_formulas;
         Alcotest.test_case "metric zero denominators" `Quick
           test_metric_zero_denominators;

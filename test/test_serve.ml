@@ -613,6 +613,70 @@ let test_daemon_job_flow_and_manifest_identity () =
       check Alcotest.bool "follow stream replays resident records" true
         (contains ~needle:"kernel_launch" follow))
 
+(* [max] caps the backlog a /trace follower gets, not where its stream
+   starts. After a 2-run campaign, a follower with max=0 gets no line
+   until a new record arrives and one with max=1 gets one line; a
+   record pushed after a follower started still reaches it. *)
+let test_daemon_follow_max_caps_backlog () =
+  let lines body =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' body)
+  in
+  let submit_and_wait port camp id =
+    let body = Trace.Json.to_string (Par.Campaign.to_json camp) in
+    let code, _ = http_request ~meth:"POST" ~path:"/jobs" ~body port in
+    check Alcotest.int (id ^ " accepted") 202 code;
+    ignore (poll_job_done port id)
+  in
+  let two_runs =
+    Par.Campaign.make ~name:"two-runs" ~seed:3
+      [ Par.Campaign.job ~kind:Par.Campaign.Run "rodinia/nn";
+        Par.Campaign.job ~kind:Par.Campaign.Run "rodinia/nn" ]
+  in
+  with_daemon (fun _d port ->
+      submit_and_wait port two_runs "job-1";
+      let get path = lines (snd (http_request ~meth:"GET" ~path port)) in
+      let resident = get "/trace" in
+      check Alcotest.bool "the campaign left records" true (resident <> []);
+      check Alcotest.int "snapshot, max=0" 0 (List.length (get "/trace?max=0"));
+      check Alcotest.int "follow, max=0: no backlog" 0
+        (List.length (get "/trace?follow=1&max=0&timeout=0.3"));
+      check Alcotest.(list string) "follow, max=1: the newest record"
+        [ List.nth resident (List.length resident - 1) ]
+        (get "/trace?follow=1&max=1&timeout=0.3");
+      (* A follower with no backlog, then one more run job. *)
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let rq =
+            "GET /trace?follow=1&max=0&timeout=30 HTTP/1.1\r\nHost: x\r\n\r\n"
+          in
+          ignore (Unix.write_substring fd rq 0 (String.length rq));
+          let got = Buffer.create 1024 and b = Bytes.create 1024 in
+          let read_until ready =
+            while not (ready (Buffer.contents got)) do
+              let n = Unix.read fd b 0 1024 in
+              if n = 0 then Alcotest.fail "follower stream closed early";
+              Buffer.add_subbytes got b 0 n
+            done
+          in
+          read_until (contains ~needle:"\r\n\r\n");
+          submit_and_wait port (nn_campaign 1) "job-2";
+          let fresh =
+            List.filteri
+              (fun i _ -> i >= List.length resident)
+              (get "/trace")
+          in
+          check Alcotest.bool "the new job pushed records" true (fresh <> []);
+          let body () =
+            let s = Buffer.contents got in
+            let i = 4 + Str.search_forward (Str.regexp_string "\r\n\r\n") s 0 in
+            String.sub s i (String.length s - i)
+          in
+          read_until (fun _ -> List.length (lines (body ())) >= List.length fresh);
+          check Alcotest.(list string) "follower streams the new records only"
+            fresh (lines (body ()))))
+
 let test_daemon_metrics_scrape_monotonic () =
   with_daemon (fun _d port ->
       let _ = http_request ~meth:"GET" ~path:"/healthz" port in
@@ -855,6 +919,8 @@ let suite =
          test_daemon_probes_and_routing;
        Alcotest.test_case "job flow, manifest identity, trace stream" `Slow
          test_daemon_job_flow_and_manifest_identity;
+       Alcotest.test_case "follow max caps only the backlog" `Slow
+         test_daemon_follow_max_caps_backlog;
        Alcotest.test_case "metrics scrape monotonic and consistent" `Quick
          test_daemon_metrics_scrape_monotonic;
        Alcotest.test_case "concurrent connections" `Quick

@@ -132,16 +132,26 @@ let golden_table =
     (Golden.parse
        (In_channel.with_open_bin "golden/counters.txt" In_channel.input_all))
 
-let check_golden jobs () =
+(* One run of [j] on a fresh device: its golden fields and the launches
+   the cross-block hazard scan flagged. *)
+let run_job j =
+  let device = Gpu.Device.create () in
+  let fields = Golden.run ~device j in
+  (j, fields, Gpu.Device.sharding_fallbacks device)
+
+(* The registry pass runs once; the golden check and the hazard-scan
+   counts in the device-sharding suite both read it. *)
+let registry_runs = lazy (List.map run_job Golden.registry_jobs)
+
+let check_golden runs =
   let table = Lazy.force golden_table in
   let drifts =
     List.concat_map
-      (fun j ->
-        let fields = Golden.run j in
+      (fun (j, fields, _) ->
         match List.assoc_opt (Golden.key j) table with
         | None -> [ Golden.label j ^ ": no reference in golden/counters.txt" ]
         | Some reference -> Golden.drifts j ~reference fields)
-      jobs
+      runs
   in
   if drifts <> [] then
     Alcotest.failf "%d drift(s) from the golden table:\n%s" (List.length drifts)
@@ -150,7 +160,84 @@ let check_golden jobs () =
 let test_all_variants_smoke () =
   check Alcotest.int "35 registry variants" 35
     (List.length Golden.registry_jobs);
-  check_golden Golden.registry_jobs ()
+  check_golden (Lazy.force registry_runs)
+
+let test_instrumented_exact () =
+  check_golden (List.map run_job Golden.instrumented_jobs)
+
+(* --- Cross-block hazard scan ---------------------------------------------- *)
+
+(* The scan (Gpu.Scheduler.shardable_kernel) counts the launches it
+   flags in Gpu.Device.sharding_fallbacks, exported as
+   sassi_device_fallback_total; the suite keeps the counter's name. *)
+
+(* Launches the scan flags per workload at its default variant run
+   plain; every workload not listed has none. gaussian mixes verdicts:
+   94 of its 141 launches are flagged. *)
+let expected_fallbacks =
+  [ ("parboil/bfs", 50); ("parboil/tpacf", 1); ("parboil/mri-gridding", 1);
+    ("parboil/histo", 16); ("rodinia/bfs", 5); ("rodinia/gaussian", 94);
+    ("rodinia/streamcluster", 24); ("rodinia/lud", 47);
+    ("rodinia/backprop", 1); ("rodinia/nw", 191); ("minife/miniFE", 1) ]
+
+let test_registry_fallbacks () =
+  (* Every registered workload's default variant, read from the shared
+     registry pass: the flagged count must equal the recorded verdict
+     exactly, whether the workload is flagged or not. *)
+  List.iter
+    (fun ((j : Golden.job), _, got) ->
+      let w = Workloads.Registry.find j.Golden.workload in
+      if j.Golden.variant = w.Workloads.Workload.default_variant then
+        check Alcotest.int
+          (Golden.label j ^ ": launches flagged by the hazard scan")
+          (Option.value ~default:0
+             (List.assoc_opt j.Golden.workload expected_fallbacks))
+          got)
+    (Lazy.force registry_runs)
+
+(* [name]'s default variant on a fresh device, after [observe] has seen
+   the device: the run and the launches the scan flagged. *)
+let run_default ?(observe = ignore) name =
+  let w = Workloads.Registry.find name in
+  let device = Gpu.Device.create () in
+  observe device;
+  let r =
+    w.Workloads.Workload.run device
+      ~variant:w.Workloads.Workload.default_variant
+  in
+  (r, Gpu.Device.sharding_fallbacks device)
+
+let test_atomic_kernel_falls_back () =
+  (* histo's cross-block atomic increments flag every launch, and the
+     count reaches the telemetry export. *)
+  let tele = ref None in
+  let r, flagged =
+    run_default "parboil/histo"
+      ~observe:(fun d -> tele := Some (Cupti.Telemetry.enable d))
+  in
+  check Alcotest.bool "fallbacks counted" true (flagged > 0);
+  check Alcotest.int "every launch flagged" r.Workloads.Workload.launches
+    flagged;
+  check Alcotest.(option int) "sassi_device_fallback_total" (Some flagged)
+    (List.assoc_opt "sassi_device_fallback_total"
+       (Cupti.Telemetry.counters (Option.get !tele)))
+
+let test_plain_store_hazard_falls_back () =
+  (* lud updates its matrix in place: one block reads cells another
+     block wrote through the same pointer, with no atomics in sight.
+     The alias scan must flag every launch. *)
+  let r, flagged = run_default "rodinia/lud" in
+  check Alcotest.bool "fallbacks counted" true (flagged > 0);
+  check Alcotest.int "in-place kernel flagged" r.Workloads.Workload.launches
+    flagged
+
+let test_disjoint_kernel_stays_eligible () =
+  (* sgemm reads a/b and writes c, disjoint parameters, so the scan
+     must not flag it. The shared integer parameter n flows into both
+     load and store addresses through scaling ops; this guards the
+     scan's precision. *)
+  let _, flagged = run_default "parboil/sgemm" in
+  check Alcotest.int "sgemm not flagged" 0 flagged
 
 let test_registry_lookup () =
   check Alcotest.bool "28 workloads" true
@@ -238,4 +325,13 @@ let suite =
      [ Alcotest.test_case "lookup" `Quick test_registry_lookup;
        Alcotest.test_case "all variants smoke" `Slow test_all_variants_smoke;
        Alcotest.test_case "instrumented exact counters" `Slow
-         (check_golden Golden.instrumented_jobs) ]) ]
+         test_instrumented_exact ]);
+    ("device-sharding",
+     [ Alcotest.test_case "registry bit-identity of flagged-launch counts"
+         `Slow test_registry_fallbacks;
+       Alcotest.test_case "atomic kernel falls back, counted" `Quick
+         test_atomic_kernel_falls_back;
+       Alcotest.test_case "plain-store hazard falls back" `Quick
+         test_plain_store_hazard_falls_back;
+       Alcotest.test_case "disjoint-pointer kernel stays eligible" `Quick
+         test_disjoint_kernel_stays_eligible ]) ]
