@@ -1,7 +1,7 @@
 # Convenience targets; `make ci` is what a pipeline should run.
 
 .PHONY: all build test fmt lint ci clean profile telemetry \
-	bench-analysis-mem perfbench
+	bench-analysis-mem perfbench perfbench-pairs
 
 # Workload for `make profile`, e.g. `make profile WORKLOAD=parboil/sgemm`.
 WORKLOAD ?= rodinia/bfs
@@ -163,6 +163,14 @@ perfbench:
 	  sh perfbench/run.sh --workload $$w --seed 1 --seconds $$secs \
 	    --trace 0 || exit 1; \
 	done
+
+# Alternating parent/change pairs on one perfbench workload, e.g.
+# `make perfbench-pairs PARENT=HEAD~1 WORKLOAD=profiled-sim PAIRS=10`
+# (scripts/perfbench-pairs.sh says what it runs and prints).
+PARENT ?= HEAD~1
+PAIRS ?= 10
+perfbench-pairs:
+	sh scripts/perfbench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 profile: build
 	dune exec bin/sassi_run.exe -- run $(WORKLOAD) --profile

@@ -61,6 +61,11 @@ let rec reconverge w =
 
 let on m lane = m land (1 lsl lane) <> 0
 
+(* A step's active lanes are [lanes.(0 .. n - 1)], ascending: this
+   table under a full unguarded mask, else the SM's [sm_lanes]. The
+   table is never written. *)
+let all_lanes = Array.init warp_size Fun.id
+
 (* Source operand [k] in [lane]. Parameter operands were read into
    [ops] once at the start of the step. *)
 let operand w ops (d : Decode.instr) k lane =
@@ -80,39 +85,37 @@ let dst (d : Decode.instr) k = Array.unsafe_get d.Decode.dsts k
 
 (* One lane loop per ALU shape. [f] is a closed function and [p], [q]
    its opcode parameters, so a call allocates nothing. *)
-let alu1 w ops d m f p =
+let alu1 w ops d lanes n f p =
   let r = dst d 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then reg_write w lane r (f p (operand w ops d 0 lane))
+  for j = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes j in
+    reg_write w lane r (f p (operand w ops d 0 lane))
   done
 
-let alu2 w ops d m f p =
+let alu2 w ops d lanes n f p =
   let r = dst d 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then
-      reg_write w lane r
-        (f p (operand w ops d 0 lane) (operand w ops d 1 lane))
+  for j = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes j in
+    reg_write w lane r (f p (operand w ops d 0 lane) (operand w ops d 1 lane))
   done
 
-let alu3 w ops d m f =
+let alu3 w ops d lanes n f =
   let r = dst d 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then
-      reg_write w lane r
-        (f (operand w ops d 0 lane) (operand w ops d 1 lane)
-           (operand w ops d 2 lane))
+  for j = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes j in
+    reg_write w lane r
+      (f (operand w ops d 0 lane) (operand w ops d 1 lane)
+         (operand w ops d 2 lane))
   done
 
-let pred_lanes w ops (d : Decode.instr) m f p q =
-  for lane = 0 to warp_size - 1 do
-    if on m lane then
-      pred_write w lane d.Decode.pdst
-        (f p q (operand w ops d 0 lane) (operand w ops d 1 lane))
+let pred_lanes w ops (d : Decode.instr) lanes n f p q =
+  for j = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes j in
+    pred_write w lane d.Decode.pdst
+      (f p q (operand w ops d 0 lane) (operand w ops d 1 lane))
   done
 
 (* --- Memory access helpers -------------------------------------------- *)
-
-let frame_bytes w = w.w_block.b_launch.l_kernel.Program.frame_bytes
 
 (* Synthetic interleaved physical address so that same-offset accesses
    from the 32 lanes of a warp coalesce perfectly, as hardware local
@@ -138,27 +141,20 @@ let texel launch ~width idx =
     base + (idx * elt)
 
 (* Write each active lane's effective address into the lane array, in
-   ascending lane order; returns how many. *)
-let lane_addrs w ops d m la =
-  let n = ref 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then begin
-      Array.unsafe_set la !n
-        (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane));
-      incr n
-    end
-  done;
-  !n
+   lane-list order. *)
+let lane_addrs w ops d lanes n la =
+  for j = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes j in
+    Array.unsafe_set la j
+      (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane))
+  done
 
-let texel_addrs w ops d m la ~width =
+let texel_addrs w ops d lanes n la ~width =
   let launch = w.w_block.b_launch in
-  let n = ref 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then begin
-      Array.unsafe_set la !n
-        (Memsys.texture_window + texel launch ~width (operand w ops d 0 lane));
-      incr n
-    end
+  for j = 0 to n - 1 do
+    Array.unsafe_set la j
+      (Memsys.texture_window
+       + texel launch ~width (operand w ops d 0 (Array.unsafe_get lanes j)))
   done
 
 (* --- Activity tracing -------------------------------------------------- *)
@@ -210,46 +206,52 @@ let shared_timing dev sm w ~n ~width ~write =
   trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write ~width ~lanes:n r;
   r.Memsys.latency
 
-(* Local (spill/fill) loads and stores. A uniform frame offset makes
-   the interleaved physical addresses one contiguous run; otherwise
-   each lane's address goes through the coalescer. *)
-let local_access dev sm w ops (d : Decode.instr) m la ~width ~store =
-  let n = lane_addrs w ops d m la in
-  let frame = frame_bytes w in
-  let addr0 = if n > 0 then la.(0) else -1 in
-  let uniform = ref true and k = ref 0 in
-  for lane = 0 to warp_size - 1 do
-    if on m lane then begin
-      let addr = Array.unsafe_get la !k in
-      incr k;
-      if addr <> addr0 then uniform := false;
-      if addr < 0 || addr >= frame then
-        raise (Trap.Memory_fault
-                 { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
-      if store then
-        Memory.write w.w_local ~width ((lane * frame) + addr)
-          (operand w ops d 2 lane)
-      else
-        reg_write w lane (dst d 0)
-          (Memory.read w.w_local ~width ((lane * frame) + addr))
-    end
-  done;
+(* Local (spill/fill) loads and stores. A uniform aligned word is
+   checked once and copies the active lanes' words of one slot; any
+   other access is checked and done lane by lane, byte-exact. A
+   uniform offset makes the interleaved physical addresses one
+   contiguous run; otherwise each lane's address goes through the
+   coalescer. *)
+let local_access dev sm w ops (d : Decode.instr) lanes n la ~width ~store =
   if n = 0 then -1
   else begin
+    let bytes = Opcode.bytes_of_width width in
+    lane_addrs w ops d lanes n la;
+    let addr0 = Array.unsafe_get la 0 in
+    let uniform = ref true in
+    for j = 1 to n - 1 do
+      if Array.unsafe_get la j <> addr0 then uniform := false
+    done;
+    if !uniform && bytes = 4 && addr0 land 3 = 0 then begin
+      check_frame w addr0 4;
+      let base = local_offset 0 addr0 and f = w.w_local in
+      for j = 0 to n - 1 do
+        let lane = Array.unsafe_get lanes j in
+        if store then
+          Bytes.set_int32_le f (base + (lane lsl 2))
+            (Int32.of_int (operand w ops d 2 lane))
+        else
+          reg_write w lane (dst d 0)
+            (Int32.to_int (Bytes.get_int32_le f (base + (lane lsl 2))))
+      done
+    end
+    else
+      for j = 0 to n - 1 do
+        let lane = Array.unsafe_get lanes j and addr = Array.unsafe_get la j in
+        check_frame w addr bytes;
+        if store then local_store w lane addr bytes (operand w ops d 2 lane)
+        else reg_write w lane (dst d 0) (local_load w lane addr bytes)
+      done;
     let stats = sm.sm_launch.l_stats in
     let r =
       if !uniform then
         Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
-          ~first_phys:(local_phys w ~lane:(Value.ffs m - 1) addr0)
-          ~last_phys:(local_phys w ~lane:(Value.flo m) addr0)
+          ~first_phys:(local_phys w ~lane:lanes.(0) addr0)
+          ~last_phys:(local_phys w ~lane:lanes.(n - 1) addr0)
           ~width:4
       else begin
-        let k = ref 0 in
-        for lane = 0 to warp_size - 1 do
-          if on m lane then begin
-            la.(!k) <- local_phys w ~lane la.(!k);
-            incr k
-          end
+        for j = 0 to n - 1 do
+          la.(j) <- local_phys w ~lane:(Array.unsafe_get lanes j) la.(j)
         done;
         Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n ~width:4
       end
@@ -288,20 +290,28 @@ let step sm w =
                kind = Trap.Invalid_instruction });
   let d = Array.unsafe_get code pc in
   if String.length d.Decode.fault > 0 then invalid_arg d.Decode.fault;
-  let m =
-    if d.Decode.guard = Decode.no_pred && not d.Decode.negated then e.e_mask
-    else begin
-      let m = ref 0 in
-      for lane = 0 to warp_size - 1 do
-        if on e.e_mask lane
-           && pred_read w lane d.Decode.guard <> d.Decode.negated
-        then m := !m lor (1 lsl lane)
-      done;
-      !m
-    end
-  in
-  let nactive = Value.popc m in
-  Stats.count_instr stats ~classes:d.Decode.classes ~active_lanes:nactive;
+  (* The active lanes: the set bits of the stack mask that pass the
+     guard, lowest first; at most 32, the size of [sm_lanes]. *)
+  let guarded = d.Decode.guard <> Decode.no_pred || d.Decode.negated in
+  let lanes = ref all_lanes and n = ref warp_size and m = ref e.e_mask in
+  if guarded || !m <> full_mask then begin
+    let rest = ref (!m land full_mask) in
+    n := 0;
+    m := 0;
+    while !rest <> 0 do
+      let lane = Value.lowest_bit !rest in
+      rest := !rest land (!rest - 1);
+      if (not guarded) || pred_read w lane d.Decode.guard <> d.Decode.negated
+      then begin
+        Array.unsafe_set sm.sm_lanes !n lane;
+        incr n;
+        m := !m lor (1 lsl lane)
+      end
+    done;
+    lanes := sm.sm_lanes
+  end;
+  let lanes = !lanes and n = !n and m = !m in
+  Stats.count_instr stats ~classes:d.Decode.classes ~active_lanes:n;
   (match dev.d_tracer with
    | Some _ ->
      (* Stamp this SM's context attached to L1/L2 probe records
@@ -320,147 +330,135 @@ let step sm w =
   let latency = ref cfg.Config.lat_alu in
   let next_pc = ref (pc + 1) in
   (match d.Decode.op with
-   | Opcode.IADD -> alu2 w ops d m (fun () a b -> Value.add a b) ()
-   | Opcode.ISUB -> alu2 w ops d m (fun () a b -> Value.sub a b) ()
-   | Opcode.IMUL -> alu2 w ops d m (fun () a b -> Value.mul a b) ()
-   | Opcode.IMAD -> alu3 w ops d m Value.mad
+   | Opcode.IADD -> alu2 w ops d lanes n (fun () a b -> Value.add a b) ()
+   | Opcode.ISUB -> alu2 w ops d lanes n (fun () a b -> Value.sub a b) ()
+   | Opcode.IMUL -> alu2 w ops d lanes n (fun () a b -> Value.mul a b) ()
+   | Opcode.IMAD -> alu3 w ops d lanes n Value.mad
    | Opcode.IDIV sign ->
      latency := cfg.Config.lat_mufu * 2;
-     alu2 w ops d m (fun sign a b -> Value.div ~sign a b) sign
+     alu2 w ops d lanes n (fun sign a b -> Value.div ~sign a b) sign
    | Opcode.IMOD sign ->
      latency := cfg.Config.lat_mufu * 2;
-     alu2 w ops d m (fun sign a b -> Value.rem ~sign a b) sign
+     alu2 w ops d lanes n (fun sign a b -> Value.rem ~sign a b) sign
    | Opcode.IMNMX cmp ->
-     alu2 w ops d m (fun cmp a b -> Value.min_max ~cmp a b) cmp
-   | Opcode.SHL -> alu2 w ops d m (fun () a b -> Value.shl a b) ()
+     alu2 w ops d lanes n (fun cmp a b -> Value.min_max ~cmp a b) cmp
+   | Opcode.SHL -> alu2 w ops d lanes n (fun () a b -> Value.shl a b) ()
    | Opcode.SHR sign ->
-     alu2 w ops d m (fun sign a b -> Value.shr ~sign a b) sign
-   | Opcode.LOP logic -> alu2 w ops d m Value.logic logic
-   | Opcode.BREV -> alu1 w ops d m (fun () v -> Value.brev v) ()
-   | Opcode.POPC -> alu1 w ops d m (fun () v -> Value.popc v) ()
-   | Opcode.FLO -> alu1 w ops d m (fun () v -> Value.flo v) ()
+     alu2 w ops d lanes n (fun sign a b -> Value.shr ~sign a b) sign
+   | Opcode.LOP logic -> alu2 w ops d lanes n Value.logic logic
+   | Opcode.BREV -> alu1 w ops d lanes n (fun () v -> Value.brev v) ()
+   | Opcode.POPC -> alu1 w ops d lanes n (fun () v -> Value.popc v) ()
+   | Opcode.FLO -> alu1 w ops d lanes n (fun () v -> Value.flo v) ()
    | Opcode.ISETP (cmp, sign) ->
-     pred_lanes w ops d m
+     pred_lanes w ops d lanes n
        (fun cmp sign a b -> Value.compare_int ~cmp ~sign a b)
        cmp sign
-   | Opcode.FADD -> alu2 w ops d m (fun () a b -> Value.fadd a b) ()
-   | Opcode.FSUB -> alu2 w ops d m (fun () a b -> Value.fsub a b) ()
-   | Opcode.FMUL -> alu2 w ops d m (fun () a b -> Value.fmul a b) ()
-   | Opcode.FFMA -> alu3 w ops d m Value.ffma
+   | Opcode.FADD -> alu2 w ops d lanes n (fun () a b -> Value.fadd a b) ()
+   | Opcode.FSUB -> alu2 w ops d lanes n (fun () a b -> Value.fsub a b) ()
+   | Opcode.FMUL -> alu2 w ops d lanes n (fun () a b -> Value.fmul a b) ()
+   | Opcode.FFMA -> alu3 w ops d lanes n Value.ffma
    | Opcode.FMNMX cmp ->
-     alu2 w ops d m (fun cmp a b -> Value.fmin_max ~cmp a b) cmp
+     alu2 w ops d lanes n (fun cmp a b -> Value.fmin_max ~cmp a b) cmp
    | Opcode.MUFU f ->
      latency := cfg.Config.lat_mufu;
-     alu1 w ops d m Value.mufu f
+     alu1 w ops d lanes n Value.mufu f
    | Opcode.FSETP cmp ->
-     pred_lanes w ops d m (fun cmp () a b -> Value.compare_f32 ~cmp a b) cmp ()
-   | Opcode.I2F sign -> alu1 w ops d m (fun sign v -> Value.i2f ~sign v) sign
-   | Opcode.F2I sign -> alu1 w ops d m (fun sign v -> Value.f2i ~sign v) sign
-   | Opcode.MOV -> alu1 w ops d m (fun () v -> v) ()
-   | Opcode.SEL -> alu3 w ops d m (fun a b c -> if c <> 0 then a else b)
+     pred_lanes w ops d lanes n
+       (fun cmp () a b -> Value.compare_f32 ~cmp a b)
+       cmp ()
+   | Opcode.I2F sign ->
+     alu1 w ops d lanes n (fun sign v -> Value.i2f ~sign v) sign
+   | Opcode.F2I sign ->
+     alu1 w ops d lanes n (fun sign v -> Value.f2i ~sign v) sign
+   | Opcode.MOV -> alu1 w ops d lanes n (fun () v -> v) ()
+   | Opcode.SEL -> alu3 w ops d lanes n (fun a b c -> if c <> 0 then a else b)
    | Opcode.S2R sr ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then
-         reg_write w lane (dst d 0) (special_value sm w ~lane sr)
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       reg_write w lane (dst d 0) (special_value sm w ~lane sr)
      done
    | Opcode.P2R ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then reg_write w lane (dst d 0) (w.w_preds.(lane) land 0x7F)
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       reg_write w lane (dst d 0) (w.w_preds.(lane) land 0x7F)
      done
    | Opcode.R2P ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then
-         w.w_preds.(lane) <- (operand w ops d 0 lane land 0x7F) lor pt_bit
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       w.w_preds.(lane) <- (operand w ops d 0 lane land 0x7F) lor pt_bit
      done
    | Opcode.PSETP logic ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let a = operand w ops d 0 lane <> 0 in
-         let b = operand_opt w ops d 1 lane <> 0 in
-         pred_write w lane d.Decode.pdst
-           (match logic with
-            | Opcode.L_and -> a && b
-            | Opcode.L_or -> a || b
-            | Opcode.L_xor -> a <> b
-            | Opcode.L_not -> not a)
-       end
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       let a = operand w ops d 0 lane <> 0 in
+       let b = operand_opt w ops d 1 lane <> 0 in
+       pred_write w lane d.Decode.pdst
+         (match logic with
+          | Opcode.L_and -> a && b
+          | Opcode.L_or -> a || b
+          | Opcode.L_xor -> a <> b
+          | Opcode.L_not -> not a)
      done
    | Opcode.LD (Opcode.Global, width) ->
-     let n = lane_addrs w ops d m la in
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let addr = Array.unsafe_get la !k in
-         incr k;
-         if width = Opcode.W64 then begin
-           reg_write w lane (dst d 0)
-             (Memory.read dev.d_global ~width:Opcode.W32 addr);
-           reg_write w lane (dst d 1)
-             (Memory.read dev.d_global ~width:Opcode.W32 (addr + 4))
-         end
-         else reg_write w lane (dst d 0) (Memory.read dev.d_global ~width addr)
+     lane_addrs w ops d lanes n la;
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j and addr = Array.unsafe_get la j in
+       if width = Opcode.W64 then begin
+         reg_write w lane (dst d 0)
+           (Memory.read dev.d_global ~width:Opcode.W32 addr);
+         reg_write w lane (dst d 1)
+           (Memory.read dev.d_global ~width:Opcode.W32 (addr + 4))
        end
+       else reg_write w lane (dst d 0) (Memory.read dev.d_global ~width addr)
      done;
      if n > 0 then latency := global_timing dev sm w ~n ~width ~write:false
    | Opcode.LD (Opcode.Shared, width) ->
-     let n = lane_addrs w ops d m la in
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         reg_write w lane (dst d 0)
-           (Memory.read w.w_block.b_shared ~width (Array.unsafe_get la !k));
-         incr k
-       end
+     lane_addrs w ops d lanes n la;
+     for j = 0 to n - 1 do
+       reg_write w (Array.unsafe_get lanes j) (dst d 0)
+         (Memory.read w.w_block.b_shared ~width (Array.unsafe_get la j))
      done;
      if n > 0 then latency := shared_timing dev sm w ~n ~width ~write:false
    | Opcode.LD (Opcode.Local, width) ->
-     let l = local_access dev sm w ops d m la ~width ~store:false in
+     let l = local_access dev sm w ops d lanes n la ~width ~store:false in
      if l >= 0 then latency := l
    | Opcode.LD (Opcode.Param, width) ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then
-         reg_write w lane (dst d 0)
-           (Memory.read launch.l_params ~width
-              (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane)))
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       reg_write w lane (dst d 0)
+         (Memory.read launch.l_params ~width
+            (Value.wrap (operand w ops d 0 lane + operand w ops d 1 lane)))
      done
    | Opcode.LD (Opcode.Tex, width) ->
-     for lane = 0 to warp_size - 1 do
-       if on m lane then
-         reg_write w lane (dst d 0)
-           (Memory.read dev.d_global ~width
-              (texel launch ~width (operand w ops d 0 lane)))
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       reg_write w lane (dst d 0)
+         (Memory.read dev.d_global ~width
+            (texel launch ~width (operand w ops d 0 lane)))
      done;
      latency := cfg.Config.lat_l1
    | Opcode.ST (Opcode.Global, width) ->
-     let n = lane_addrs w ops d m la in
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let addr = Array.unsafe_get la !k in
-         incr k;
-         if width = Opcode.W64 then begin
-           Memory.write dev.d_global ~width:Opcode.W32 addr
-             (operand w ops d 2 lane);
-           Memory.write dev.d_global ~width:Opcode.W32 (addr + 4)
-             (operand_opt w ops d 3 lane)
-         end
-         else Memory.write dev.d_global ~width addr (operand w ops d 2 lane)
+     lane_addrs w ops d lanes n la;
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j and addr = Array.unsafe_get la j in
+       if width = Opcode.W64 then begin
+         Memory.write dev.d_global ~width:Opcode.W32 addr
+           (operand w ops d 2 lane);
+         Memory.write dev.d_global ~width:Opcode.W32 (addr + 4)
+           (operand_opt w ops d 3 lane)
        end
+       else Memory.write dev.d_global ~width addr (operand w ops d 2 lane)
      done;
      if n > 0 then latency := global_timing dev sm w ~n ~width ~write:true
    | Opcode.ST (Opcode.Shared, width) ->
-     let n = lane_addrs w ops d m la in
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         Memory.write w.w_block.b_shared ~width (Array.unsafe_get la !k)
-           (operand w ops d 2 lane);
-         incr k
-       end
+     lane_addrs w ops d lanes n la;
+     for j = 0 to n - 1 do
+       Memory.write w.w_block.b_shared ~width (Array.unsafe_get la j)
+         (operand w ops d 2 (Array.unsafe_get lanes j))
      done;
      if n > 0 then latency := shared_timing dev sm w ~n ~width ~write:true
    | Opcode.ST (Opcode.Local, width) ->
-     let l = local_access dev sm w ops d m la ~width ~store:true in
+     let l = local_access dev sm w ops d lanes n la ~width ~store:true in
      if l >= 0 then latency := l
    | Opcode.ST ((Opcode.Param | Opcode.Tex) as space, _) ->
      raise (Trap.Memory_fault
@@ -479,18 +477,14 @@ let step sm w =
        | Opcode.ATOM _ -> true
        | _ -> false
      in
-     let n = lane_addrs w ops d m la in
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let addr = Array.unsafe_get la !k in
-         incr k;
-         let old = Memory.read mem ~width addr in
-         Memory.write mem ~width addr
-           (atomic_value aop width old (operand w ops d 2 lane)
-              (operand_opt w ops d 3 lane));
-         if has_dst then reg_write w lane (dst d 0) old
-       end
+     lane_addrs w ops d lanes n la;
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j and addr = Array.unsafe_get la j in
+       let old = Memory.read mem ~width addr in
+       Memory.write mem ~width addr
+         (atomic_value aop width old (operand w ops d 2 lane)
+            (operand_opt w ops d 3 lane));
+       if has_dst then reg_write w lane (dst d 0) old
      done;
      if n > 0 then begin
        let r =
@@ -509,37 +503,34 @@ let step sm w =
        latency := r.Memsys.latency + cfg.Config.lat_atomic
      end
    | Opcode.TLD width ->
-     texel_addrs w ops d m la ~width;
-     let k = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let v =
-           Memory.read dev.d_global ~width
-             (Array.unsafe_get la !k - Memsys.texture_window)
-         in
-         incr k;
-         if width = Opcode.W64 then begin
-           reg_write w lane (dst d 0) (v land Value.mask);
-           reg_write w lane (dst d 1) ((v lsr 32) land Value.mask)
-         end
-         else reg_write w lane (dst d 0) v
+     texel_addrs w ops d lanes n la ~width;
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       let v =
+         Memory.read dev.d_global ~width
+           (Array.unsafe_get la j - Memsys.texture_window)
+       in
+       if width = Opcode.W64 then begin
+         reg_write w lane (dst d 0) (v land Value.mask);
+         reg_write w lane (dst d 1) ((v lsr 32) land Value.mask)
        end
+       else reg_write w lane (dst d 0) v
      done;
-     if nactive > 0 then begin
+     if n > 0 then begin
        let r =
-         Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n:nactive
+         Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats ~n
            ~width:(Opcode.bytes_of_width width)
        in
        trace_mem dev sm w ~space:Trace.Record.Sp_texture ~write:false ~width
-         ~lanes:nactive r;
+         ~lanes:n r;
        latency := r.Memsys.latency
      end
    | Opcode.MEMBAR -> ()
    | Opcode.VOTE mode ->
      let ballot = ref 0 in
-     for lane = 0 to warp_size - 1 do
-       if on m lane && operand w ops d 0 lane <> 0 then
-         ballot := !ballot lor (1 lsl lane)
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       if operand w ops d 0 lane <> 0 then ballot := !ballot lor (1 lsl lane)
      done;
      let r =
        match mode with
@@ -547,33 +538,33 @@ let step sm w =
        | Opcode.V_any -> if !ballot <> 0 then 1 else 0
        | Opcode.V_all -> if !ballot = m then 1 else 0
      in
-     for lane = 0 to warp_size - 1 do
-       if on m lane then
-         if mode <> Opcode.V_ballot && d.Decode.pdst >= 0 then
-           pred_write w lane d.Decode.pdst (r <> 0)
-         else reg_write w lane (dst d 0) r
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       if mode <> Opcode.V_ballot && d.Decode.pdst >= 0 then
+         pred_write w lane d.Decode.pdst (r <> 0)
+       else reg_write w lane (dst d 0) r
      done
    | Opcode.SHFL mode ->
      (* Read all source values first: dst may alias src. The lane array
         holds them, indexed by lane. *)
-     for lane = 0 to warp_size - 1 do
-       if on m lane then la.(lane) <- operand w ops d 0 lane
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       la.(lane) <- operand w ops d 0 lane
      done;
-     for lane = 0 to warp_size - 1 do
-       if on m lane then begin
-         let b = operand w ops d 1 lane in
-         let target =
-           match mode with
-           | Opcode.S_idx -> b land 31
-           | Opcode.S_up -> lane - b
-           | Opcode.S_down -> lane + b
-           | Opcode.S_bfly -> lane lxor b
-         in
-         reg_write w lane (dst d 0)
-           (if target < 0 || target >= warp_size || not (on m target)
-            then la.(lane)
-            else la.(target))
-       end
+     for j = 0 to n - 1 do
+       let lane = Array.unsafe_get lanes j in
+       let b = operand w ops d 1 lane in
+       let target =
+         match mode with
+         | Opcode.S_idx -> b land 31
+         | Opcode.S_up -> lane - b
+         | Opcode.S_down -> lane + b
+         | Opcode.S_bfly -> lane lxor b
+       in
+       reg_write w lane (dst d 0)
+         (if target < 0 || target >= warp_size || not (on m target)
+          then la.(lane)
+          else la.(target))
      done
    | Opcode.BRA ->
      let target = d.Decode.target in
@@ -714,7 +705,7 @@ let step sm w =
        Trace.Collector.emit c
          (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
             (Trace.Record.Warp_issue
-               { pc; op = d.Decode.name; active = nactive }));
+               { pc; op = d.Decode.name; active = n }));
        (* Anything beyond the baseline ALU latency keeps the warp out
           of the issue pool: record it as a stall span. *)
        if !latency > cfg.Config.lat_alu then

@@ -26,9 +26,7 @@ let make_block launch flat =
         w_regs = Array.make (warp_size * nregs) 0;
         w_nregs = nregs;
         w_preds = Array.make warp_size pt_bit;
-        w_local =
-          Memory.create ~space:Sass.Opcode.Local
-            (max 4 (warp_size * frame));
+        w_local = new_frames frame;
         w_stack =
           [ { e_pc = 0;
               e_rpc = -1;
@@ -126,9 +124,10 @@ let run_sm_wave sm =
     if sm.sm_cycle > cfg.Config.max_cycles then
       raise (Trap.Hang { cycles = sm.sm_cycle });
     (* One pass from the round-robin pointer: the first ready warp, or
-       failing that the earliest wake-up among the waiting ones. *)
+       failing that the earliest wake-up among the waiting ones and the
+       first warp, in round-robin order, that wakes then. *)
     let cycle = sm.sm_cycle in
-    let found = ref (-1) and next = ref max_int in
+    let found = ref (-1) and next = ref max_int and wake = ref (-1) in
     let idx = ref sm.sm_rr and left = ref n in
     while !left > 0 do
       let w = Array.unsafe_get warps !idx in
@@ -137,12 +136,38 @@ let run_sm_wave sm =
           found := !idx;
           left := 0
         end
-        else if w.w_ready_at < !next then next := w.w_ready_at
+        else if w.w_ready_at < !next then begin
+          next := w.w_ready_at;
+          wake := !idx
+        end
       end;
       decr left;
       incr idx;
       if !idx = n then idx := 0
     done;
+    if !found < 0 then begin
+      if !next = max_int then begin
+        (* All remaining warps wait at a barrier that can never be
+           released: a deadlock, reported as a hang. *)
+        if Array.exists (fun w -> w.w_status <> W_done) warps then
+          raise (Trap.Hang { cycles = sm.sm_cycle })
+        else alive := 0
+      end
+      else begin
+        (* Nobody ready: advance to the next wakeup, where the warp the
+           pass found is the first ready one. Idle cycles are unissued
+           slots: they count toward the sampling period so stall-heavy
+           phases are sampled at the same rate as busy ones. *)
+        let before = sm.sm_cycle in
+        sm.sm_cycle <- max (sm.sm_cycle + 1) !next;
+        spend_sample_credit sm
+          ((sm.sm_cycle - before) * cfg.Config.issue_width);
+        telemetry_tick dev sm;
+        if sm.sm_cycle > cfg.Config.max_cycles then
+          raise (Trap.Hang { cycles = sm.sm_cycle });
+        found := !wake
+      end
+    end;
     if !found >= 0 then begin
       let idx = !found in
       sm.sm_rr <- (if idx + 1 = n then 0 else idx + 1);
@@ -158,23 +183,6 @@ let run_sm_wave sm =
       spend_sample_credit sm 1;
       telemetry_tick dev sm
     end
-    else if !next = max_int then begin
-      (* All remaining warps wait at a barrier that can never be
-         released: a deadlock, reported as a hang. *)
-      if Array.exists (fun w -> w.w_status <> W_done) warps then
-        raise (Trap.Hang { cycles = sm.sm_cycle })
-      else alive := 0
-    end
-    else begin
-      (* Nobody ready: advance to the next wakeup. Idle cycles are
-         unissued slots: they count toward the sampling period so
-         stall-heavy phases are sampled at the same rate as busy
-         ones. *)
-      let before = sm.sm_cycle in
-      sm.sm_cycle <- max (sm.sm_cycle + 1) !next;
-      spend_sample_credit sm ((sm.sm_cycle - before) * cfg.Config.issue_width);
-      telemetry_tick dev sm
-    end
   done
 
 (* Simulate one SM to completion: dispatch its round-robin share of
@@ -187,7 +195,8 @@ let run_one_sm launch ~sm_id ~blocks_at_once ~nblocks =
   let sm =
     { sm_id; sm_launch = launch; sm_cycle = 0; sm_issued = 0;
       sm_warps = [||]; sm_rr = 0;
-      sm_operands = Array.make launch.l_code.Decode.operands 0 }
+      sm_operands = Array.make launch.l_code.Decode.operands 0;
+      sm_lanes = Array.make warp_size 0 }
   in
   (* Each SM starts with a full sampling period, so where an SM's
      samples fall does not depend on the SMs before it (DESIGN

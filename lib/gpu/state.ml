@@ -24,7 +24,7 @@ type warp = {
   w_regs : int array;
   w_nregs : int;
   w_preds : int array;
-  w_local : Memory.t;
+  w_local : Bytes.t;
   mutable w_stack : stack_entry list;
   mutable w_call_stack : int list;
   mutable w_status : wstatus;
@@ -52,6 +52,7 @@ and sm = {
   mutable sm_warps : warp array;
   mutable sm_rr : int;
   sm_operands : int array;
+  sm_lanes : int array;
 }
 
 and launch = {
@@ -236,10 +237,53 @@ let global_tid w ~lane =
   let threads_per_block = l.l_block_x * l.l_block_y in
   (w.w_block.b_flat * threads_per_block) + lane_linear_tid w lane
 
+(* Frames are slot-major: word [a / 4] of lane [l] lies at byte
+   [((a / 4) * warp_size + l) * 4] of [w_local], so the lanes of a
+   uniform aligned word access touch one contiguous run. A frame whose
+   size is not a multiple of 4 still gets whole slots. *)
+let local_offset lane addr =
+  ((((addr lsr 2) * warp_size) + lane) lsl 2) lor (addr land 3)
+
+let new_frames frame_bytes =
+  Bytes.make (warp_size * ((frame_bytes + 3) land lnot 3)) '\000'
+
+let frame_bytes w = w.w_block.b_launch.l_kernel.Sass.Program.frame_bytes
+
+let[@inline never] local_fault addr =
+  raise (Trap.Memory_fault
+           { space = Sass.Opcode.Local; addr; kind = Trap.Out_of_bounds })
+
+let check_frame w addr bytes =
+  if addr < 0 || addr + bytes > frame_bytes w then local_fault addr
+
+let local_load w lane addr bytes =
+  if bytes = 4 && addr land 3 = 0 then
+    Int32.to_int (Bytes.get_int32_le w.w_local (local_offset lane addr))
+    land Value.mask
+  else begin
+    let v = ref 0 in
+    for k = bytes - 1 downto 0 do
+      v := (!v lsl 8)
+           lor Char.code (Bytes.get w.w_local (local_offset lane (addr + k)))
+    done;
+    !v
+  end
+
+let local_store w lane addr bytes v =
+  if bytes = 4 && addr land 3 = 0 then
+    Bytes.set_int32_le w.w_local (local_offset lane addr) (Int32.of_int v)
+  else
+    for k = 0 to bytes - 1 do
+      Bytes.set w.w_local (local_offset lane (addr + k))
+        (Char.unsafe_chr ((v asr (8 * k)) land 0xFF))
+    done
+
 let local_read w ~lane ~addr =
-  let frame = w.w_block.b_launch.l_kernel.Sass.Program.frame_bytes in
-  Memory.read w.w_local ~width:Sass.Opcode.W32 ((lane * frame) + addr)
+  if lane < 0 || lane >= warp_size then invalid_arg "State.local_read";
+  check_frame w addr 4;
+  local_load w lane addr 4
 
 let local_write w ~lane ~addr v =
-  let frame = w.w_block.b_launch.l_kernel.Sass.Program.frame_bytes in
-  Memory.write w.w_local ~width:Sass.Opcode.W32 ((lane * frame) + addr) v
+  if lane < 0 || lane >= warp_size then invalid_arg "State.local_write";
+  check_frame w addr 4;
+  local_store w lane addr 4 v

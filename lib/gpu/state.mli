@@ -29,7 +29,10 @@ type warp = {
   w_preds : int array;
       (** one word per lane: bit [p] is P[p] (0-6); bit 7, PT, is
           always set *)
-  w_local : Memory.t;  (** per-thread stack frames, lane-contiguous *)
+  w_local : Bytes.t;
+      (** the 32 lanes' stack frames, slot-major: word [a / 4] of lane
+          [l] lies at byte [((a / 4) * warp_size + l) * 4], the
+          interleaved layout the local-memory timing model assumes *)
   mutable w_stack : stack_entry list;  (** head = top of stack *)
   mutable w_call_stack : int list;  (** warp-uniform return PCs *)
   mutable w_status : wstatus;
@@ -63,6 +66,9 @@ and sm = {
   sm_operands : int array;
       (** the interpreter's per-step scratch: parameter operands, read
           once per step, by source position *)
+  sm_lanes : int array;
+      (** the interpreter's per-step scratch: the active lanes of a
+          partial mask, ascending *)
 }
 
 and launch = {
@@ -255,10 +261,38 @@ val tid_y : warp -> lane:int -> int
 val global_tid : warp -> lane:int -> int
 (** Flat global thread id across the whole grid. *)
 
-(** {1 Local-memory access for instrumentation runtimes} *)
+(** {1 Local memory}
+
+    Addresses are frame-relative bytes, as the ABI stack pointer sees
+    them; an access of [n] bytes at [addr] must lie in
+    [0 .. frame_bytes - n]. Values are little-endian. *)
+
+val local_offset : int -> int -> int
+(** [local_offset lane addr]: the byte of [w_local] holding byte
+    [addr] of [lane]'s frame. *)
+
+val new_frames : int -> Bytes.t
+(** Zeroed frames for one warp, given the kernel's frame bytes. *)
+
+val frame_bytes : warp -> int
+(** The launch kernel's frame size per lane. *)
+
+val check_frame : warp -> int -> int -> unit
+(** [check_frame w addr n].
+    @raise Trap.Memory_fault [Out_of_bounds] at [addr] unless the [n]
+    bytes at [addr] lie inside the frame. *)
+
+val local_load : warp -> int -> int -> int -> int
+(** [local_load w lane addr n]: the [n] bytes at [addr] of [lane]'s
+    frame. It does not check the frame bound: the interpreter calls
+    {!check_frame} first. *)
+
+val local_store : warp -> int -> int -> int -> int -> unit
+(** [local_store w lane addr n v]: the low [n] bytes of [v]. *)
 
 val local_read : warp -> lane:int -> addr:int -> int
-(** 32-bit read from the lane's local frame (frame-relative byte
-    address, as the ABI stack pointer sees it). *)
+(** 32-bit read from the lane's frame, for instrumentation runtimes.
+    @raise Invalid_argument unless [0 <= lane < warp_size].
+    @raise Trap.Memory_fault outside the frame. *)
 
 val local_write : warp -> lane:int -> addr:int -> int -> unit

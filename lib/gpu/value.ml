@@ -73,19 +73,33 @@ let popc a =
   let a = (a + (a lsr 4)) land 0x0F0F0F0F in
   ((a * 0x01010101) land mask) lsr 24
 
+(* Multiplying a single bit [1 lsl i] by this de Bruijn constant puts a
+   distinct 5-bit pattern in the top bits of the low word; the table
+   maps that pattern back to [i]. The table is never written. *)
+let debruijn = 0x077CB531
+
+let debruijn_bit =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit a =
+  Array.unsafe_get debruijn_bit
+    ((((a land (-a)) * debruijn) land mask) lsr 27)
+
+(* Smearing the highest set bit downwards leaves [i + 1] ones. *)
 let flo a =
   let a = wrap a in
   if a = 0 then mask
   else
-    let rec go i = if a land (1 lsl i) <> 0 then i else go (i - 1) in
-    go 31
+    let a = a lor (a lsr 1) in
+    let a = a lor (a lsr 2) in
+    let a = a lor (a lsr 4) in
+    let a = a lor (a lsr 8) in
+    popc (a lor (a lsr 16)) - 1
 
 let ffs a =
   let a = wrap a in
-  if a = 0 then 0
-  else
-    let rec go i = if a land (1 lsl i) <> 0 then i + 1 else go (i + 1) in
-    go 0
+  if a = 0 then 0 else lowest_bit a + 1
 
 let compare_int ~cmp ~sign a b =
   let a, b =

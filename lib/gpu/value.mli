@@ -49,6 +49,11 @@ val ffs : int -> int
 (** 1-based index of the lowest set bit; 0 when the input is 0
     (CUDA [__ffs] semantics). *)
 
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a non-zero 32-bit value, from a
+    de Bruijn table; unspecified for 0. [flo], [ffs] and [lowest_bit]
+    allocate nothing. *)
+
 val compare_int : cmp:Sass.Opcode.cmp -> sign:Sass.Opcode.sign -> int -> int -> bool
 
 (** {1 Single-precision floats} *)

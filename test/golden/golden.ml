@@ -1,7 +1,10 @@
 (* Exact-counter jobs pinned by [counters.txt]: every registry variant
    run plain, plus Value_profile and the Section 9.1 stub
-   ([Handler.noop] at Value_profile's sites) on two workloads whose
-   instrumented runs cover the spill/fill, P2R/R2P and HCALL paths.
+   ([Handler.noop] at Value_profile's sites) on spmv/small, nn and
+   bfs/NY, whose instrumented runs cover the spill/fill, P2R/R2P and
+   HCALL paths, and Case Studies I and II (Branch_stats, Mem_divergence)
+   on spmv/small and bfs/NY: their guarded-flag, memory-info and
+   partially masked call sequences.
 
    One table line per job: [workload variant mode] and then
    [name=value] fields, the output digest and launch count first and
@@ -10,7 +13,7 @@
 type job = {
   workload : string;  (** qualified registry name *)
   variant : string;
-  mode : string;  (** "plain", "value" or "stub" *)
+  mode : string;  (** "plain", "value", "stub", "branch" or "memdiv" *)
 }
 
 let registry_jobs =
@@ -24,9 +27,14 @@ let registry_jobs =
 
 let instrumented_jobs =
   List.concat_map
-    (fun (workload, variant) ->
-      List.map (fun mode -> { workload; variant; mode }) [ "value"; "stub" ])
-    [ ("parboil/spmv", "small"); ("rodinia/nn", "default") ]
+    (fun (workload, variant, modes) ->
+      List.map (fun mode -> { workload; variant; mode }) modes)
+    [
+      ("parboil/spmv", "small", [ "value"; "stub" ]);
+      ("rodinia/nn", "default", [ "value"; "stub" ]);
+      ("parboil/spmv", "small", [ "branch"; "memdiv" ]);
+      ("parboil/bfs", "NY", [ "value"; "stub"; "branch"; "memdiv" ]);
+    ]
 
 let jobs = registry_jobs @ instrumented_jobs
 
@@ -43,6 +51,9 @@ let pairs mode device =
   match mode with
   | "value" -> value ()
   | "stub" -> List.map (fun (spec, _) -> (spec, Sassi.Handler.noop)) (value ())
+  | "branch" -> Handlers.Branch_stats.pairs (Handlers.Branch_stats.create device)
+  | "memdiv" ->
+    Handlers.Mem_divergence.pairs (Handlers.Mem_divergence.create device)
   | m -> invalid_arg ("Golden.pairs: unknown mode " ^ m)
 
 (* The job's exact facts as ordered (name, value) fields, run on

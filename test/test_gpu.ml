@@ -346,6 +346,98 @@ let test_float_ops () =
       result.(t)
   done
 
+(* Local stores and loads at [R1 + off]. *)
+let stl ?(width = Opcode.W32) off src =
+  i (Opcode.ST (Opcode.Local, width)) ~srcs:[ sreg 1; imm off; sreg src ]
+
+let ldl ?(width = Opcode.W32) dst off =
+  i (Opcode.LD (Opcode.Local, width)) ~dsts:[ r dst ] ~srcs:[ sreg 1; imm off ]
+
+(* A word stored at byte 6 of an 8-byte frame straddles the frame's
+   end: it faults at frame offset 6 whatever the block size, and never
+   reaches the next lane's frame. So does a handler's [stack_read]
+   just past the frame. *)
+let test_local_frame_bound () =
+  let k =
+    kernel "straddle" ~frame:8
+      [ i Opcode.IADD ~dsts:[ r 1 ] ~srcs:[ sreg 1; imm (-8) ];
+        i Opcode.MOV ~dsts:[ r 2 ] ~srcs:[ imm 0xAABBCCDD ];
+        stl 6 2;
+        i Opcode.EXIT ]
+  in
+  List.iter
+    (fun threads ->
+      match
+        Gpu.Device.launch (device ()) ~kernel:k ~grid:(1, 1)
+          ~block:(threads, 1) ~args:[]
+      with
+      | _ -> Alcotest.failf "%d threads: the store did not fault" threads
+      | exception Gpu.Trap.Memory_fault { space = Opcode.Local; addr; _ } ->
+        check Alcotest.int (Printf.sprintf "%d threads: fault at" threads) 6
+          addr)
+    [ 31; 32 ];
+  let dev = device () in
+  let outcome = ref "handler not run" in
+  let past_frame ctx =
+    let lane = Sassi.Hctx.leader ctx in
+    let sp = Gpu.State.reg_get ctx.Sassi.Hctx.warp ~lane Reg.sp in
+    let frame = ctx.Sassi.Hctx.launch.Gpu.State.l_kernel.Program.frame_bytes in
+    ignore (Sassi.Hctx.stack_read ctx ~lane ~off:(frame - 4 - sp));
+    outcome :=
+      match Sassi.Hctx.stack_read ctx ~lane ~off:(frame - sp) with
+      | _ -> "read past the frame"
+      | exception Gpu.Trap.Memory_fault { addr; _ } ->
+        Printf.sprintf "fault at %d of %d" addr frame
+  in
+  ignore
+    (Sassi.Runtime.with_instrumentation dev
+       [ (Sassi.Select.before [ Sassi.Select.Kernel_entry ] [],
+          Sassi.Handler.make ~name:"past_frame" past_frame) ]
+       (fun _ ->
+         Gpu.Device.launch dev
+           ~kernel:(kernel "entry" [ i Opcode.NOP; i Opcode.EXIT ])
+           ~grid:(1, 1) ~block:(32, 1) ~args:[]));
+  check Alcotest.string "stack_read past the frame" "fault at 128 of 128"
+    !outcome
+
+(* Sub-word and unaligned frame accesses keep byte semantics, also
+   across the 4-byte slots of the slot-major layout. *)
+let test_local_bytes () =
+  let dev = device () in
+  let out = Gpu.Device.malloc dev (4 * 3 * 32) in
+  let stg k src =
+    i (Opcode.ST (Opcode.Global, Opcode.W32))
+      ~srcs:[ sreg 8; imm (4 * k); sreg src ]
+  in
+  let k =
+    kernel "bytes" ~frame:8
+      [ i (Opcode.S2R Opcode.Sr_tid_x) ~dsts:[ r 0 ];
+        i Opcode.IADD ~dsts:[ r 1 ] ~srcs:[ sreg 1; imm (-8) ];
+        i Opcode.IMAD ~dsts:[ r 8 ] ~srcs:[ sreg 0; imm 12; param 0 ];
+        i Opcode.IADD ~dsts:[ r 2 ] ~srcs:[ sreg 0; imm 0xAABBCC00 ];
+        i Opcode.MOV ~dsts:[ r 3 ] ~srcs:[ imm 0x1122 ];
+        i Opcode.MOV ~dsts:[ r 4 ] ~srcs:[ imm 0x33 ];
+        stl 0 2;
+        stl ~width:Opcode.W16 6 3;
+        stl ~width:Opcode.W8 5 4;
+        ldl 5 4;
+        ldl ~width:Opcode.W16 6 3;
+        ldl ~width:Opcode.W64 7 0;
+        stg 0 5; stg 1 6; stg 2 7;
+        i Opcode.EXIT ]
+  in
+  ignore
+    (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1)
+       ~args:[ Gpu.Device.Ptr out ]);
+  let got = Gpu.Device.read_i32s dev ~addr:out ~n:(3 * 32) in
+  for t = 0 to 31 do
+    let at k = got.((3 * t) + k) land 0xFFFFFFFF in
+    let say = Printf.sprintf "lane %d %s" t in
+    check Alcotest.int (say "word 1") 0x11223300 (at 0);
+    check Alcotest.int (say "straddling half") 0x00AA (at 1);
+    check Alcotest.int (say "low word of 8") (0xAABBCC00 + t) (at 2)
+  done
+
 let test_memory_fault () =
   let dev = device () in
   let k =
@@ -508,6 +600,46 @@ let test_value_bits () =
   check Alcotest.int "ffs bit5" 6 (Gpu.Value.ffs 0x20);
   check Alcotest.int "brev" 0x80000000 (Gpu.Value.brev 1);
   check Alcotest.int "brev sym" 1 (Gpu.Value.brev 0x80000000)
+
+(* [ffs], [flo] and [lowest_bit] against a bit-by-bit reference, and
+   100,000 calls of each allocate nothing. *)
+let test_value_bit_scans () =
+  let bit x k = x land (1 lsl k) <> 0 in
+  let rec ref_ffs x k =
+    if k = 32 then 0 else if bit x k then k + 1 else ref_ffs x (k + 1)
+  in
+  let rec ref_flo x k =
+    if k < 0 then 0xFFFFFFFF else if bit x k then k else ref_flo x (k - 1)
+  in
+  let ref_ffs x = ref_ffs x 0 and ref_flo x = ref_flo x 31 in
+  let xs =
+    List.init 32 (fun k -> 1 lsl k)
+    @ [ 0; 0xFFFFFFFF; 0x80000001; 0x00F0F000; 0x7FFFFFFE; 0x12345678 ]
+  in
+  List.iter
+    (fun x ->
+      let say = Printf.sprintf "%s 0x%x" in
+      check Alcotest.int (say "ffs" x) (ref_ffs x) (Gpu.Value.ffs x);
+      check Alcotest.int (say "flo" x) (ref_flo x) (Gpu.Value.flo x);
+      if x <> 0 then
+        check Alcotest.int (say "lowest_bit" x) (ref_ffs x - 1)
+          (Gpu.Value.lowest_bit x))
+    xs;
+  let words calls =
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for x = 1 to calls do
+      let x = x * 0x9E3779B1 in
+      acc :=
+        !acc + Gpu.Value.ffs x + Gpu.Value.flo x
+        + Gpu.Value.lowest_bit (x lor 1)
+    done;
+    let w = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !acc);
+    w
+  in
+  check (Alcotest.float 0.) "100,000 calls allocate nothing" (words 0)
+    (words 100_000)
 
 let test_value_floats () =
   let f = 3.25 in
@@ -913,6 +1045,50 @@ let test_alu_steps_allocate_nothing () =
   let wn = words kn and w2n = words k2n in
   check (Alcotest.float 0.) "minor words independent of ALU step count" wn w2n
 
+(* The shape of an injected call under a partial mask: after a guarded
+   EXIT, 7 scattered lanes of 32 spill and fill at uniform frame
+   offsets around P2R/R2P and guarded ALU code. A kernel twice as long
+   must allocate exactly as much. *)
+let test_injected_steps_allocate_nothing () =
+  let p1 = Pred.p 1 in
+  let call =
+    [ i Opcode.IADD ~dsts:[ r 1 ] ~srcs:[ sreg 1; imm (-16) ];
+      stl 0 2; stl 4 3;
+      i Opcode.P2R ~dsts:[ r 4 ];
+      stl 8 4;
+      i Opcode.IADD ~guard:(Pred.on p1) ~dsts:[ r 2 ] ~srcs:[ sreg 2; imm 1 ];
+      i Opcode.MOV ~guard:(Pred.on_not p1) ~dsts:[ r 3 ] ~srcs:[ sreg 0 ];
+      ldl 4 8;
+      i Opcode.R2P ~srcs:[ sreg 4 ];
+      ldl 3 4; ldl 2 0;
+      i Opcode.IADD ~dsts:[ r 1 ] ~srcs:[ sreg 1; imm 16 ] ]
+  in
+  let k n =
+    kernel (Printf.sprintf "calls%d" n) ~frame:16
+      ([ i (Opcode.S2R Opcode.Sr_tid_x) ~dsts:[ r 0 ];
+         i (Opcode.IMOD Opcode.Unsigned) ~dsts:[ r 5 ] ~srcs:[ sreg 0; imm 5 ];
+         i (Opcode.ISETP (Opcode.Ne, Opcode.Unsigned)) ~pdsts:[ Pred.p 0 ]
+           ~srcs:[ sreg 5; imm 0 ];
+         i Opcode.EXIT ~guard:(Pred.on (Pred.p 0));
+         i (Opcode.ISETP (Opcode.Lt, Opcode.Signed)) ~pdsts:[ p1 ]
+           ~srcs:[ sreg 0; imm 16 ] ]
+       @ List.concat (List.init n (fun _ -> call))
+       @ [ i Opcode.EXIT ])
+  in
+  let dev = device () in
+  let words k =
+    let launch () =
+      ignore
+        (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1) ~args:[])
+    in
+    launch ();
+    let before = Gc.minor_words () in
+    launch ();
+    Gc.minor_words () -. before
+  in
+  let wn = words (k 40) and w2n = words (k 80) in
+  check (Alcotest.float 0.) "minor words independent of call count" wn w2n
+
 let extra_suite =
   ("gpu.isa-extra",
    [ Alcotest.test_case "CAL/RET" `Quick test_cal_ret;
@@ -939,7 +1115,9 @@ let paged_suite =
          test_checked_accessors ]);
     ("gpu.zero-alloc",
      [ Alcotest.test_case "ALU steps allocate nothing" `Quick
-         test_alu_steps_allocate_nothing ]) ]
+         test_alu_steps_allocate_nothing;
+       Alcotest.test_case "injected call steps allocate nothing" `Quick
+         test_injected_steps_allocate_nothing ]) ]
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -947,6 +1125,8 @@ let suite =
      [ Alcotest.test_case "wrap" `Quick test_value_wrap;
        Alcotest.test_case "bits" `Quick test_value_bits;
        Alcotest.test_case "floats" `Quick test_value_floats;
+       Alcotest.test_case "bit scans allocate nothing" `Quick
+         test_value_bit_scans;
        qt prop_value_u32;
        qt prop_signed_roundtrip;
        qt prop_popc_brev ]);
@@ -968,6 +1148,8 @@ let suite =
        Alcotest.test_case "shfl" `Quick test_shfl;
        Alcotest.test_case "floats" `Quick test_float_ops;
        Alcotest.test_case "memory fault" `Quick test_memory_fault;
+       Alcotest.test_case "local frame bound" `Quick test_local_frame_bound;
+       Alcotest.test_case "local sub-word bytes" `Quick test_local_bytes;
        Alcotest.test_case "hang watchdog" `Quick test_hang_watchdog;
        Alcotest.test_case "coalescing" `Quick test_coalescing;
        Alcotest.test_case "self-address load coalescing" `Quick
